@@ -8,7 +8,8 @@ as fraction strings and all floating-point numbers as decimal strings with
 platforms.
 
 Exit codes: 0 Stable, 1 Unstable, 2 Marginal/Undetermined, 64 usage error,
-65 data error.  `corpus` exits 1 when any disagreement is found.
+65 data error, 70 internal error (a defect in routhkit, never a verdict).
+`corpus` exits 1 when any disagreement is found.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_UNSTABLE = 1
 EXIT_MARGINAL = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 _VERDICT_EXIT = {
     Verdict.STABLE: EXIT_STABLE,
@@ -365,6 +367,10 @@ def main(argv=None) -> int:
     except (RouthKitError, ValueError, ZeroDivisionError) as exc:
         print(f"routhkit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:  # a crash must not read as a verdict
+        print(f"routhkit: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd as _gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -73,38 +73,54 @@ def _render_terms(coeffs: tuple[Fraction, ...], var: str) -> str:
 class EpsPoly:
     """Polynomial in the infinitesimal `e` with Rational coefficients.
 
-    Coefficients are stored ascending by power of e; trailing zeros are
-    stripped, so the zero polynomial has an empty coefficient tuple.
+    The polynomial is held as integer coefficients, ascending by power of e
+    with trailing zeros stripped, over one shared positive denominator, and
+    add, neg and mul run on those integers.  `coeffs` gives the same
+    polynomial as a tuple of Fractions; the zero polynomial has an empty
+    coefficient tuple.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_denom", "_coeffs")
 
     def __init__(self, coeffs: Iterable[_CoeffLike] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        denom = lcm(*(c.denominator for c in cs))
+        self._ints = [c.numerator * (denom // c.denominator) for c in cs]
+        self._denom = denom
+        self._coeffs = tuple(cs)
 
     @classmethod
-    def _raw(cls, coeffs: tuple[Fraction, ...]) -> "EpsPoly":
-        """Wrap already-normalized Fraction coefficients without rechecking."""
+    def _raw(cls, ints: list[int], denom: int) -> "EpsPoly":
+        """Wrap integer coefficients with no trailing zero over a positive
+        denominator, without rechecking.  The list is never mutated."""
         self = object.__new__(cls)
-        self.coeffs = coeffs
+        self._ints = ints
+        self._denom = denom
+        self._coeffs = None
         return self
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            denom = self._denom
+            self._coeffs = tuple(Fraction(c, denom) for c in self._ints)
+        return self._coeffs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     @property
     def degree(self) -> int:
         """Degree in e; -1 denotes the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def valuation(self) -> int:
         """Index of the lowest-order nonzero coefficient."""
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self._ints):
             if c:
                 return k
         raise ValueError("zero polynomial has no valuation")
@@ -114,7 +130,7 @@ class EpsPoly:
 
     def constant(self) -> Fraction:
         """Coefficient of e^0."""
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self._ints else Fraction(0)
 
     def scale(self, factor: Fraction) -> "EpsPoly":
         if not factor:
@@ -129,30 +145,40 @@ class EpsPoly:
         return acc
 
     def __add__(self, other: "EpsPoly") -> "EpsPoly":
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
+        denom = self._denom
+        if denom != other._denom:
+            g = gcd(denom, other._denom)
+            ma, mb = other._denom // g, denom // g
+            a = [c * ma for c in a]
+            b = [c * mb for c in b]
+            denom *= ma
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return EpsPoly(out)
+        while out and not out[-1]:
+            out.pop()
+        return EpsPoly._raw(out, denom)
 
     def __neg__(self) -> "EpsPoly":
-        return EpsPoly([-c for c in self.coeffs])
+        return EpsPoly._raw([-c for c in self._ints], self._denom)
 
     def __sub__(self, other: "EpsPoly") -> "EpsPoly":
         return self + (-other)
 
     def __mul__(self, other: "EpsPoly") -> "EpsPoly":
-        a, b = self.coeffs, other.coeffs
+        a, b = self._ints, other._ints
         if not a or not b:
             return EpsPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return EpsPoly(out)
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        # a product of nonzero leading coefficients is nonzero
+        return EpsPoly._raw(out, self._denom * other._denom)
 
     def __divmod__(self, other: "EpsPoly") -> tuple["EpsPoly", "EpsPoly"]:
         if other.is_zero:
@@ -195,51 +221,50 @@ class EpsPoly:
 def _canonicalize(num: EpsPoly, den: EpsPoly) -> tuple[EpsPoly, EpsPoly]:
     """Reduce a nonzero num/den pair to canonical form.
 
-    The reduction runs over the integers: both polynomials are scaled to
-    integer coefficients, divided by their primitive gcd (exact integer
-    division, by Gauss's lemma), and rescaled so the denominator's
-    lowest-order nonzero coefficient is exactly 1.
+    The reduction runs on the integer coefficient lists: each is made
+    primitive, both are divided by their primitive gcd (exact integer
+    division, by Gauss's lemma), and the rational scale left over is folded
+    into the numerator so the denominator's lowest-order nonzero
+    coefficient is exactly 1.  Both results are in lowest terms: the gcd of
+    the integer coefficients is coprime to the shared denominator.
     """
-    na, sn = _int_coeffs(num)
-    da, sd = _int_coeffs(den)
+    cn, cd = _content(num._ints), _content(den._ints)
+    na = [c // cn for c in num._ints]
+    da = [c // cd for c in den._ints]
     if len(na) > 1 and len(da) > 1:
         g = _int_gcd(na, da)
         if len(g) > 1:
             na = _int_div_exact(na, g)
             da = _int_div_exact(da, g)
     low = next(c for c in da if c)
-    num_scale = Fraction(sd, sn * low)
-    new_num = EpsPoly._raw(tuple(c * num_scale for c in na))
-    new_den = EpsPoly._raw(tuple(Fraction(c, low) for c in da))
-    return new_num, new_den
+    # num/den = scale * na / (da/low); the contents and denominators go
+    # into scale
+    scale = Fraction(cn * den._denom, cd * num._denom * low)
+    if low < 0:
+        da, low = [-c for c in da], -low
+    return (EpsPoly._raw([scale.numerator * c for c in na], scale.denominator),
+            EpsPoly._raw(da, low))
 
 
-def _int_coeffs(p: EpsPoly) -> tuple[list[int], int]:
-    """Integer coefficient list and the positive scale m with p = list/m."""
-    mult = _lcm(*(c.denominator for c in p.coeffs))
-    return [(c * mult).numerator for c in p.coeffs], mult
-
-
-def _lcm(*values: int) -> int:
-    out = 1
-    for v in values:
-        out = out * v // _gcd(out, v)
-    return out
+def _content(coeffs: list[int]) -> int:
+    """Positive gcd of the coefficients; 0 for an empty list."""
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    return g
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    g = 0
-    for c in coeffs:
-        g = _gcd(g, c)
-        if g == 1:
-            return coeffs
-    return [c // g for c in coeffs]
+    """The coefficients divided by their content; the input has no
+    trailing zero and is left unchanged."""
+    g = _content(coeffs)
+    return coeffs if g == 1 else [c // g for c in coeffs]
 
 
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    a, b = _primitive(list(a)), _primitive(list(b))
+    """Primitive gcd of two primitive integer polynomials."""
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -256,12 +281,14 @@ def _int_div_exact(a: list[int], b: list[int]) -> list[int]:
     q = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
         c, r = divmod(rem[k + db], lead)
-        assert r == 0, "non-exact polynomial division"
+        if r:
+            raise ArithmeticError("non-exact polynomial division")
         if c:
             q[k] = c
             for j in range(db + 1):
                 rem[k + j] -= c * b[j]
-    assert not any(rem), "non-exact polynomial division"
+    if any(rem):
+        raise ArithmeticError("non-exact polynomial division")
     return q
 
 
@@ -308,8 +335,8 @@ class EpsRat:
             num, den = _canonicalize(num, den)
         self.num = num
         self.den = den
-        # cache the plain-rational value for the (dominant) eps-free case
-        if den.coeffs == (Fraction(1),) and num.degree <= 0:
+        # cache the plain-rational value for the eps-free case
+        if den.degree == 0 and num.degree <= 0:  # canonical: den == 1
             self._scalar = num.constant()
         else:
             self._scalar = None
@@ -318,7 +345,7 @@ class EpsRat:
     def from_rational(cls, value: _CoeffLike) -> "EpsRat":
         self = object.__new__(cls)
         v = value if type(value) is Fraction else Fraction(value)
-        self.num = EpsPoly((v,)) if v else _ZERO_P
+        self.num = EpsPoly._raw([v.numerator], v.denominator) if v else _ZERO_P
         self.den = _ONE_P
         self._scalar = v
         return self
@@ -343,9 +370,10 @@ class EpsRat:
         Canonical form makes the denominator positive for small e, so the
         sign is that of the lowest-order nonzero numerator coefficient.
         """
-        if self.num.is_zero:
+        num = self.num
+        if num.is_zero:
             return 0
-        return 1 if self.num.lowest_coeff() > 0 else -1
+        return 1 if num._ints[num.valuation] > 0 else -1
 
     def limit(self):
         """Value at e = 0, or POLE_AT_ZERO when the denominator vanishes."""
@@ -466,5 +494,3 @@ def _coerce(value):
 
 #: The formal positive infinitesimal.
 EPSILON = EpsRat(_EPS_P)
-
-EPS_ZERO = EpsRat.from_rational(0)

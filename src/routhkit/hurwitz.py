@@ -40,8 +40,11 @@ def hurwitz_matrix(p: Polynomial) -> ExactMatrix:
     if p.leading_coefficient < 0:
         raise ValueError("leading coefficient must be positive; normalize first")
     n = p.degree
+    cs = p.coeffs
+    zero = Fraction(0)
     rows = tuple(
-        tuple(p.coeff(n - 2 * (j + 1) + (i + 1)) for j in range(n))
+        tuple(cs[k] if 0 <= k <= n else zero
+              for k in range(n - 1 + i, -n - 1 + i, -2))
         for i in range(n))
     return ExactMatrix(n=n, entries=rows)
 
@@ -51,9 +54,9 @@ def leading_minors(m: ExactMatrix) -> tuple[Fraction, ...]:
     scales = []
     work = []
     for row in m.entries:
-        mult = lcm(*(c.denominator for c in row)) if row else 1
+        mult = lcm(*(c.denominator for c in row))
         scales.append(mult)
-        work.append([int(c * mult) for c in row])
+        work.append([c.numerator * (mult // c.denominator) for c in row])
 
     ints = _bareiss_leading_minors(work)
 
@@ -98,7 +101,8 @@ def _bareiss_leading_minors(a: list[list[int]]) -> list[int]:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 q, r = divmod(pivot * a[i][j] - a[i][k] * a[k][j], prev)
-                assert r == 0, "Bareiss division must be exact"
+                if r:
+                    raise ArithmeticError("Bareiss division must be exact")
                 a[i][j] = q
         prev = pivot
     return minors
@@ -122,7 +126,8 @@ def _det_int(a: list[list[int]]) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 q, r = divmod(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-                assert r == 0, "Bareiss division must be exact"
+                if r:
+                    raise ArithmeticError("Bareiss division must be exact")
                 a[i][j] = q
         prev = a[k][k]
     return sign * a[n - 1][n - 1]

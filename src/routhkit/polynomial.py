@@ -64,10 +64,11 @@ class Polynomial:
         """Monic polynomial with the given roots.
 
         Non-real roots must occur in conjugate pairs (within `pair_tol`).
-        Real and paired factors are expanded exactly over the rationals
-        (float components are exact binary rationals), then each coefficient
-        is rounded to the nearest fraction with denominator <= 10**6; the
-        rounding is the identity whenever the exact denominators already fit.
+        Real and paired factors are expanded exactly, as integer polynomials
+        over one common denominator (float components are exact binary
+        rationals), then each coefficient is rounded to the nearest fraction
+        with denominator <= 10**6; the rounding is the identity whenever the
+        exact denominators already fit.
         A float expansion cross-checks that imaginary residue stays below
         1e-9 relative to the largest coefficient.
         """
@@ -94,13 +95,17 @@ class Polynomial:
                 raise UnpairedComplexRoot(f"no conjugate partner for root {r}")
             pairs.append((r, unmatched.pop(best)))
 
-        exact = [Fraction(1)]
+        ints, denom = [1], 1
         for x in reals:
-            exact = _mul_linear(exact, Fraction(x))
+            a, d = x.as_integer_ratio()
+            ints = _mul_int(ints, [-a, d])          # (d*s - a) / d
+            denom *= d
         for r, u in pairs:
-            b = -(Fraction(r.real) + Fraction(u.real))
-            c = Fraction(r.real) * Fraction(u.real) - Fraction(r.imag) * Fraction(u.imag)
-            exact = _mul_quadratic(exact, b, c)
+            (re1, re2, im1, im2), d = _binary_over_common_denominator(
+                r.real, u.real, r.imag, u.imag)
+            # (s - r)(s - u) = (d^2 s^2 - d(re1 + re2) s + re1 re2 - im1 im2) / d^2
+            ints = _mul_int(ints, [re1 * re2 - im1 * im2, -d * (re1 + re2), d * d])
+            denom *= d * d
 
         approx = _expand_complex(items)
         scale = max(1.0, max(abs(c) for c in approx))
@@ -109,7 +114,7 @@ class Polynomial:
             raise UnpairedComplexRoot(
                 f"imaginary residue {residue:.3e} exceeds tolerance after pairing")
 
-        return cls([c.limit_denominator(10 ** 6) for c in exact])
+        return cls([Fraction(c, denom).limit_denominator(10 ** 6) for c in ints])
 
     # -- accessors ------------------------------------------------------------
 
@@ -271,22 +276,23 @@ def _parse_terms(text: str) -> list[Fraction]:
     return [powers.get(k, Fraction(0)) for k in range(top + 1)]
 
 
-def _mul_linear(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Multiply the ascending coefficient list by (s - root)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k + 1] += c
-        out[k] -= root * c
-    return out
+def _binary_over_common_denominator(*values: float) -> tuple[list[int], int]:
+    """Exact integer numerators of finite floats over one shared denominator.
+
+    A float's exact denominator is a power of two, so the largest of them is
+    a multiple of every other.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = max(d for _, d in ratios)
+    return [n * (denom // d) for n, d in ratios], denom
 
 
-def _mul_quadratic(coeffs: list[Fraction], b: Fraction, c: Fraction) -> list[Fraction]:
-    """Multiply the ascending coefficient list by (s^2 + b*s + c)."""
-    out = [Fraction(0)] * (len(coeffs) + 2)
-    for k, a in enumerate(coeffs):
-        out[k + 2] += a
-        out[k + 1] += b * a
-        out[k] += c * a
+def _mul_int(a: list[int], b: list[int]) -> list[int]:
+    """Product of two ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b, i):
+            out[j] += ca * cb
     return out
 
 

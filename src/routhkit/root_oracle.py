@@ -47,27 +47,32 @@ def find_roots(p: Polynomial, tol: float = 1e-13, max_iter: int = 1000) -> RootS
     n = p.degree
 
     z = [(0.4 + 0.9j) ** k for k in range(1, n + 1)]
+    descending = mono[::-1]
     converged = False
     for _ in range(max_iter):
         done = True
         for i in range(n):
             zi = z[i]
             den = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    den *= zi - z[j]
+            for zj in z[:i]:
+                den *= zi - zj
+            for zj in z[i + 1:]:
+                den *= zi - zj
             if den == 0:
                 # coincident estimates: deterministic nudge, retry next sweep
                 z[i] = zi + 1e-12 * (1.0 + abs(zi)) * (1 + 1j)
                 done = False
                 continue
-            step = _horner(mono, zi) / den
+            acc = 0j  # Horner, as in _horner
+            for c in descending:
+                acc = acc * zi + c
+            step = acc / den
             nxt = zi - step
             if not (isfinite(nxt.real) and isfinite(nxt.imag)):
                 done = False
                 continue
             z[i] = nxt
-            if abs(step) >= tol * (1.0 + abs(nxt)):
+            if done and abs(step) >= tol * (1.0 + abs(nxt)):
                 done = False
         if done:
             converged = True

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegreeTooSmall, EpsContaminatedRow, OriginRoot, PolicyUnsupported
-from .exact_arith import EPS_ZERO, EPSILON, EpsRat
+from .exact_arith import EPSILON, EpsRat
 from .polynomial import Polynomial
 from .root_oracle import HalfPlaneCounts, RootSet, find_roots, half_plane_counts
 
@@ -116,7 +116,7 @@ class StabilityReport:
     array: RouthArray
 
 
-def auxiliary_polynomial(row: Sequence[EpsRat], power: int) -> Polynomial:
+def auxiliary_polynomial(row: Sequence[EpsRat | Fraction], power: int) -> Polynomial:
     """Polynomial sum(row[j] * s^(power - 2j)) built from an eps-free row.
 
     This is the polynomial whose derivative repairs a fully zero row; a row
@@ -128,10 +128,12 @@ def auxiliary_polynomial(row: Sequence[EpsRat], power: int) -> Polynomial:
         k = power - 2 * j
         if k < 0:
             raise ValueError(f"row of {len(row)} entries is too long for power {power}")
-        if not entry.is_eps_free:
-            raise EpsContaminatedRow(
-                f"entry {entry} of the s^{power} auxiliary row is not eps-free")
-        coeffs[k] = entry.as_fraction()
+        if isinstance(entry, EpsRat):
+            if not entry.is_eps_free:
+                raise EpsContaminatedRow(
+                    f"entry {entry} of the s^{power} auxiliary row is not eps-free")
+            entry = entry.as_fraction()
+        coeffs[k] = entry
     return Polynomial(coeffs)
 
 
@@ -150,61 +152,65 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
 
     n = p.degree
     events: list[SpecialEvent] = []
-    rows: list[list[EpsRat]] = []
-
-    top = [EpsRat.from_rational(p.coeff(n - 2 * j)) for j in range(n // 2 + 1)]
-    rows.append(top)  # leading coefficient > 0, so never degenerate
-
-    second = [EpsRat.from_rational(p.coeff(n - 1 - 2 * j))
-              for j in range((n - 1) // 2 + 1)]
-    _remediate(second, n - 1, rows, policy, events)
-    rows.append(second)
-
-    for power in range(n - 2, -1, -1):
-        above2, above = rows[-2], rows[-1]
-        pivot = above[0]
-        head = above2[0]
-        row = []
-        for j in range(power // 2 + 1):
-            right2 = above2[j + 1]
-            right = above[j + 1] if j + 1 < len(above) else EPS_ZERO
-            row.append((pivot * right2 - head * right) / pivot)
-        _remediate(row, power, rows, policy, events)
+    # Entries are plain Fractions until a remedy brings in e; then every row
+    # so far is lifted into Q(e).  A later derivative row holds Fractions
+    # again, which the EpsRat operators coerce, and the end lifts the rest.
+    rows = [[p.coeff(n - 2 * j) for j in range(n // 2 + 1)]]
+    for power in range(n - 1, -1, -1):
+        if power == n - 1:
+            row = [p.coeff(n - 1 - 2 * j) for j in range(power // 2 + 1)]
+        else:
+            # the cross-multiplication rule; an entry past the end of the row
+            # above reads as zero, which leaves r2 unchanged
+            above2, above = rows[-2], rows[-1]
+            head, pivot = above2[0], above[0]
+            row = [(pivot * r2 - head * r1) / pivot
+                   for r2, r1 in zip(above2[1:], above[1:])]
+            row += above2[len(above):]
+        if _remediate(row, power, rows[-1], policy, events):
+            rows = [_lift(r) for r in rows]
+            row = _lift(row)
         rows.append(row)
 
     array = RouthArray(degree=n,
-                       rows=tuple(tuple(r) for r in rows),
+                       rows=tuple(_lift(r) for r in rows),
                        events=tuple(events),
                        policy=policy)
     assert all(r[0].sign() != 0 for r in array.rows)
     return array
 
 
-def _remediate(row: list[EpsRat], power: int, rows: list[list[EpsRat]],
-               policy: Policy, events: list[SpecialEvent]) -> None:
-    """Repair a degenerate row in place, recording one event."""
-    if all(e.is_zero for e in row):
+def _lift(row) -> tuple[EpsRat, ...]:
+    return tuple(x if isinstance(x, EpsRat) else EpsRat.from_rational(x)
+                 for x in row)
+
+
+def _remediate(row: list, power: int, above: Sequence, policy: Policy,
+               events: list[SpecialEvent]) -> bool:
+    """Repair a degenerate row in place, recording one event.  Returns True
+    when the repair brings in e."""
+    if not any(row):
         if policy is Policy.SINGLE_EPSILON:
             raise PolicyUnsupported(
                 f"single-eps policy cannot handle the all-zero s^{power} row")
         if policy is Policy.EPSILON_ROW:
-            for j in range(len(row)):
-                row[j] = EPSILON
+            row[:] = [EPSILON] * len(row)
             events.append(SpecialEvent(EventKind.ZERO_ROW, power,
                                        "replaced every entry with e"))
-        else:
-            aux = auxiliary_polynomial(rows[-1], power + 1)
-            deriv = aux.derivative()
-            for j in range(len(row)):
-                row[j] = EpsRat.from_rational(deriv.coeff(power - 2 * j))
-            events.append(SpecialEvent(
-                EventKind.ZERO_ROW, power,
-                f"substituted coefficients of derivative {deriv} "
-                f"of auxiliary polynomial {aux}"))
-    elif row[0].is_zero:
+            return True
+        aux = auxiliary_polynomial(above, power + 1)
+        deriv = aux.derivative()
+        row[:] = [deriv.coeff(power - 2 * j) for j in range(len(row))]
+        events.append(SpecialEvent(
+            EventKind.ZERO_ROW, power,
+            f"substituted coefficients of derivative {deriv} "
+            f"of auxiliary polynomial {aux}"))
+    elif not row[0]:
         row[0] = EPSILON
         events.append(SpecialEvent(EventKind.ZERO_FIRST_ELEMENT, power,
                                    "replaced leading zero with e"))
+        return True
+    return False
 
 
 def count_sign_changes(array: RouthArray) -> tuple[tuple[int, ...], int]:

@@ -68,6 +68,16 @@ class TestAnalyze:
         assert code == 65
         assert "error" in err
 
+    def test_crash_is_internal_error_not_unstable(self, capsys):
+        # the oracle overflows converting 1e400 to a float: a defect, which
+        # must not exit 1 (Unstable) or print a traceback
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", "1,1e400,1",
+                                 "--oracle")
+        assert code == 70
+        assert out == ""
+        assert err.startswith("routhkit: internal error: OverflowError")
+        assert err.count("\n") == 1
+
     def test_policy_unsupported_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--coeffs", "1,0,0,0,1",
                                "--policy", "single-eps")

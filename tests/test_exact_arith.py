@@ -178,6 +178,14 @@ class TestEpsPoly:
     def test_trailing_zeros_stripped(self):
         assert EpsPoly([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
 
+    def test_inexact_integer_division_raises(self):
+        from routhkit.exact_arith import _int_div_exact
+        assert _int_div_exact([1, 2, 1], [1, 1]) == [1, 1]
+        with pytest.raises(ArithmeticError):
+            _int_div_exact([1, 3], [1, 2])         # 3 is not a multiple of 2
+        with pytest.raises(ArithmeticError):
+            _int_div_exact([1, 0, 1], [1, 1])      # remainder 2
+
     def test_divmod_reconstructs(self, rng):
         from conftest import random_eps_poly
         for _ in range(200):

@@ -81,6 +81,12 @@ class TestLeadingMinors:
             m = ExactMatrix(n, entries)
             assert leading_minors(m) == minors_by_cofactor(m)
 
+    def test_matches_cofactor_oracle_on_corpus(self, rng):
+        for _ in range(200):
+            poly, _ = random_polynomial(rng, 8)
+            m = hurwitz_matrix(poly)
+            assert leading_minors(m) == minors_by_cofactor(m)
+
     def test_rational_entries(self, rng):
         for _ in range(40):
             n = rng.randint(1, 4)

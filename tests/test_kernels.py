@@ -1,0 +1,136 @@
+"""Differential checks of the integer kernels against plain exact references.
+
+`build_array` runs its recurrence over Fractions until e appears, and
+`Polynomial.from_roots` expands over the integers; both must give exactly
+what the textbook formulas give over EpsRat and Fraction.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from routhkit import EpsRat, Lcg64, Policy, PolicyUnsupported, Polynomial, build_array
+from routhkit.corpus import random_polynomial, random_roots
+from routhkit.routh import _remediate
+
+POLICIES = (Policy.SINGLE_EPSILON, Policy.EPSILON_ROW, Policy.DERIVATIVE_ROW)
+
+
+def reference_array(p: Polynomial, policy: Policy):
+    """Rows and events by the cross-multiplication rule, entry by entry
+    over EpsRat, with the builder's own remedies."""
+    n, rows, events = p.degree, [], []
+    for power in range(n, -1, -1):
+        if power >= n - 1:
+            row = [EpsRat.from_rational(p.coeff(power - 2 * j)) for j in range(power // 2 + 1)]
+        else:
+            a2, a1 = rows[-2], rows[-1]
+            row = [(a1[0] * a2[j + 1] - a2[0] * (a1[j + 1] if j + 1 < len(a1) else 0)) / a1[0]
+                   for j in range(power // 2 + 1)]
+        if power < n:
+            _remediate(row, power, rows[-1], policy, events)
+        rows.append(tuple(e if isinstance(e, EpsRat) else EpsRat.from_rational(e) for e in row))
+    return tuple(rows), tuple(events)
+
+
+def assert_matches_reference(p: Polynomial, policy: Policy) -> None:
+    try:
+        rows, events = reference_array(p, policy)
+    except PolicyUnsupported as exc:
+        with pytest.raises(type(exc)):
+            build_array(p, policy)
+        return
+    array = build_array(p, policy)
+    assert array.rows == rows
+    assert [[str(e) for e in row] for row in array.rows] == \
+        [[str(e) for e in row] for row in rows]
+    assert array.events == events
+    assert all(type(e) is EpsRat for row in array.rows for e in row)
+
+
+def normalized(p: Polynomial) -> Polynomial:
+    """p with origin roots stripped and a positive leading coefficient."""
+    _, q = p.strip_origin_roots()
+    return -q if q.leading_coefficient < 0 else q
+
+
+@st.composite
+def integer_polynomials(draw) -> Polynomial:
+    """Small integer polynomials; an even factor q(s^2), drawn half the
+    time, makes roots symmetric about the origin and so a zero row."""
+    coeffs = st.lists(st.integers(-3, 3), min_size=2, max_size=6)
+    p = Polynomial(draw(coeffs))
+    if draw(st.booleans()):
+        p = p * Polynomial([c for k in draw(coeffs) for c in (k, 0)])
+    assume(not p.is_zero and p.degree >= 1)
+    q = normalized(p)
+    assume(q.degree >= 1)
+    return q
+
+
+class TestBuildArrayKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_polynomials())
+    def test_matches_reference(self, p):
+        for policy in POLICIES:
+            assert_matches_reference(p, policy)
+
+    @pytest.mark.parametrize("p", [
+        *(Polynomial([1] * (n + 1)) for n in range(2, 13)),
+        *(Polynomial([1] + [0] * (n - 1) + [1]) for n in range(2, 11)),
+        Polynomial([5, 10, 6, 3, 2, 1]),       # s^5+2s^4+3s^3+6s^2+10s+5
+        Polynomial([1, 0, 2, 0, 1]),           # (s^2 + 1)^2
+    ], ids=str)
+    def test_degenerate_families(self, p):
+        for policy in POLICIES:
+            assert_matches_reference(p, policy)
+
+    def test_corpus_draws(self):
+        rng = Lcg64(20261018)
+        for _ in range(200):
+            p, _ = random_polynomial(rng, 12)
+            assert_matches_reference(p, Policy.AUTO)
+
+
+def fraction_expansion(roots) -> Polynomial:
+    """prod (s - r) over the Gaussian rationals, then the same rounding as
+    `from_roots`; the imaginary parts must cancel exactly."""
+    coeffs = [(Fraction(1), Fraction(0))]
+    for r in roots:
+        a, b = Fraction(r.real), Fraction(r.imag)
+        out = [(Fraction(0), Fraction(0))] * (len(coeffs) + 1)
+        for k, (x, y) in enumerate(coeffs):
+            out[k + 1] = (out[k + 1][0] + x, out[k + 1][1] + y)
+            out[k] = (out[k][0] - (a * x - b * y), out[k][1] - (a * y + b * x))
+        coeffs = out
+    assert all(y == 0 for _, y in coeffs)
+    return Polynomial([x.limit_denominator(10 ** 6) for x, _ in coeffs])
+
+
+# binary fractions k / 2^j, so conjugates are exact
+binary = st.builds(lambda k, j: k / 2 ** j, st.integers(-40, 40), st.integers(0, 4))
+
+
+class TestFromRootsKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(binary, max_size=5),
+           st.lists(st.tuples(binary, binary.filter(bool)), max_size=4))
+    def test_matches_fraction_expansion(self, reals, pairs):
+        roots = [complex(x) for x in reals]
+        for re, im in pairs:
+            roots += [complex(re, im), complex(re, -im)]
+        assert Polynomial.from_roots(roots) == fraction_expansion(roots)
+
+    def test_corpus_draws(self):
+        rng = Lcg64(20261018)
+        for _ in range(200):
+            roots = random_roots(rng, rng.randint(1, 12))
+            assert Polynomial.from_roots(roots) == fraction_expansion(roots)
+
+    def test_rounding_kicks_in(self):
+        # 1/3 is not a binary fraction: its float is rounded back to 1/3
+        assert Polynomial.from_roots([1 / 3]) == Polynomial([Fraction(-1, 3), 1])
