@@ -254,6 +254,61 @@ class TestMachineOutput:
             assert out == golden
 
 
+# (golden file, exit code, argv); each file holds stdout followed by stderr
+TEXT_VIEWS = [
+    *((f"analyze_quartic_{policy}.txt", code,
+       ["analyze", "--coeffs", "1,0,0,0,1", "--policy", policy])
+      for policy, code in (("single-eps", 65), ("eps-row", 1),
+                           ("derivative", 1), ("auto", 1))),
+    ("analyze_leading_zeros.txt", 0, ["analyze", "--coeffs", "0,0,1,1"]),
+    ("analyze_sign_flip.txt", 0, ["analyze", "--coeffs=-1,-2,-1"]),
+    ("compare_quartic.txt", 0, ["compare", "--coeffs", "1,0,0,0,1"]),
+    ("compare_cubic.txt", 0, ["compare", "--coeffs", "1,0,-7,-6"]),
+    ("corpus_30.txt", 0, ["corpus", "--count", "30", "--max-degree", "8",
+                          "--seed", "42"]),
+    ("sweep_cubic_samples.txt", 0, ["sweep", "--coeffs", "1,3,3,K",
+                                    "--range", "0:12", "--steps", "37",
+                                    "--samples"]),
+]
+
+
+class TestTextViews:
+    @pytest.mark.parametrize("name, expected_code, argv", TEXT_VIEWS,
+                             ids=[name for name, _, _ in TEXT_VIEWS])
+    def test_golden_text(self, capsys, name, expected_code, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert out + err == (GOLDEN_DIR / name).read_text()
+
+    def test_corpus_disagreement(self, capsys, monkeypatch):
+        # no corpus draw disagrees today, so force one through the path a
+        # policy refusal takes
+        import routhkit.corpus
+        from routhkit import PolicyUnsupported
+
+        def refuse(*args, **kwargs):
+            raise PolicyUnsupported("forced refusal")
+
+        monkeypatch.setattr(routhkit.corpus, "classify", refuse)
+        argv = ["corpus", "--count", "1", "--max-degree", "4", "--seed", "42"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            "DISAGREEMENT: s^2 - 4*s + 89/16 routh_rhp=-1 oracle_rhp=-1 "
+            "expected_rhp=2 roots=['(2+1.25j)', '(2-1.25j)'] "
+            "events=['PolicyUnsupported: forced refusal']")
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 1
+        assert json.loads(out)["disagreements"] == [{
+            "polynomial": "s^2 - 4*s + 89/16",
+            "routh_rhp": -1,
+            "oracle_rhp": -1,
+            "expected_rhp": 2,
+            "roots": [{"re": "2", "im": "1.25"}, {"re": "2", "im": "-1.25"}],
+            "events": ["PolicyUnsupported: forced refusal"],
+        }]
+
+
 def eval_fraction(text: str) -> float:
     if "/" in text:
         num, den = text.split("/")
