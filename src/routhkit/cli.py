@@ -1,6 +1,8 @@
 """Command-line surface: analyze, compare, corpus, and sweep.
 
-Every command takes `--json` for machine output.  The analyze document has
+Each command builds one document and returns it with a text view, rendered
+from the document on demand, and the exit code; `--json` prints the
+document and otherwise the text view is printed.  The analyze document has
 the fixed top-level key order {input, policy, array, events, signs,
 sign_changes, rhp_count, verdict, oracle, version}; all exact values render
 as fraction strings and all floating-point numbers as decimal strings with
@@ -20,6 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .corpus import POLICY as CORPUS_POLICY
 from .corpus import CorpusSummary, run_corpus
 from .errors import RouthKitError
 from .polynomial import Polynomial
@@ -61,8 +64,23 @@ def render_json(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _event_doc(ev) -> dict:
-    return {"kind": ev.kind.value, "row_power": ev.row_power, "remedy": ev.remedy}
+def _input_doc(poly: Polynomial) -> dict:
+    return {"degree": poly.degree, "coefficients": poly.descending_strings()}
+
+
+def _events_doc(events) -> list[dict]:
+    return [{"kind": ev.kind.value, "row_power": ev.row_power, "remedy": ev.remedy}
+            for ev in events]
+
+
+def _roots_doc(roots) -> list[dict]:
+    return [{"re": _fmt(r.real), "im": _fmt(r.imag)} for r in roots]
+
+
+def _root_text(root: dict) -> str:
+    """`re+imj` from a root document entry."""
+    im = root["im"]
+    return f"{root['re']}{im if im.startswith('-') else '+' + im}j"
 
 
 def _oracle_doc(oracle: OracleSummary | None):
@@ -70,7 +88,7 @@ def _oracle_doc(oracle: OracleSummary | None):
         return None
     rs, counts = oracle.root_set, oracle.counts
     return {
-        "roots": [{"re": _fmt(r.real), "im": _fmt(r.imag)} for r in rs.roots],
+        "roots": _roots_doc(rs.roots),
         "lhp": counts.lhp,
         "rhp": counts.rhp,
         "axis": counts.axis,
@@ -83,13 +101,10 @@ def _oracle_doc(oracle: OracleSummary | None):
 def analysis_document(poly: Polynomial, policy_name: str,
                       report: StabilityReport) -> dict:
     return {
-        "input": {
-            "degree": poly.degree,
-            "coefficients": poly.descending_strings(),
-        },
+        "input": _input_doc(poly),
         "policy": policy_name,
         "array": [[str(e) for e in row] for row in report.array.rows],
-        "events": [_event_doc(ev) for ev in report.events],
+        "events": _events_doc(report.events),
         "signs": ["+" if s > 0 else "-" for s in report.first_column_signs],
         "sign_changes": report.sign_changes,
         "rhp_count": report.rhp_count,
@@ -99,122 +114,110 @@ def analysis_document(poly: Polynomial, policy_name: str,
     }
 
 
-def _analysis_text(poly: Polynomial, policy_name: str,
-                   report: StabilityReport) -> str:
+def _analysis_text(doc: dict, poly: Polynomial) -> str:
     lines = [f"polynomial: {poly}  (degree {poly.degree})",
-             f"policy: {policy_name}"]
-    array = report.array
-    notes = {ev.row_power: f"{ev.kind.value}: {ev.remedy}"
-             for ev in report.events if ev.row_power is not None}
-    cells = [[str(e) for e in row] for row in array.rows]
+             f"policy: {doc['policy']}"]
+    notes = {ev["row_power"]: f"{ev['kind']}: {ev['remedy']}"
+             for ev in doc["events"] if ev["row_power"] is not None}
+    cells = doc["array"]
     width = max(len(c) for row in cells for c in row)
     lines.append("routh array:")
     for i, row in enumerate(cells):
-        power = array.row_power(i)
+        power = len(cells) - 1 - i
         entry = "  ".join(c.ljust(width) for c in row).rstrip()
         note = f"   <- {notes[power]}" if power in notes else ""
         lines.append(f"  s^{power} | {entry}{note}")
-    for ev in report.events:
-        if ev.row_power is None:
-            lines.append(f"note: {ev.kind.value}: {ev.remedy}")
-    signs = " ".join("+" if s > 0 else "-" for s in report.first_column_signs)
-    lines.append(f"first column signs: {signs}")
-    lines.append(f"sign changes: {report.sign_changes}")
-    lines.append(f"rhp roots: {report.rhp_count}")
-    lines.append(f"verdict: {report.verdict.value}")
-    if report.oracle_check is not None:
-        oracle = report.oracle_check
-        roots = ", ".join(f"{_fmt(r.real)}{r.imag:+.12g}j"
-                          for r in oracle.root_set.roots)
-        counts = oracle.counts
+    for ev in doc["events"]:
+        if ev["row_power"] is None:
+            lines.append(f"note: {ev['kind']}: {ev['remedy']}")
+    lines.append(f"first column signs: {' '.join(doc['signs'])}")
+    lines.append(f"sign changes: {doc['sign_changes']}")
+    lines.append(f"rhp roots: {doc['rhp_count']}")
+    lines.append(f"verdict: {doc['verdict']}")
+    oracle = doc["oracle"]
+    if oracle is not None:
         lines.append("oracle:")
-        lines.append(f"  roots: {roots}")
-        lines.append(f"  counts: lhp={counts.lhp} rhp={counts.rhp} axis={counts.axis}")
-        lines.append(f"  agreement with routh: {'yes' if oracle.agreement else 'NO'}")
-        lines.append(f"  converged: {'yes' if oracle.root_set.converged else 'no'}"
-                     f"  max residual: {_fmt(oracle.root_set.max_residual)}")
+        lines.append(f"  roots: {', '.join(_root_text(r) for r in oracle['roots'])}")
+        lines.append(f"  counts: lhp={oracle['lhp']} rhp={oracle['rhp']} axis={oracle['axis']}")
+        lines.append(f"  agreement with routh: {'yes' if oracle['agreement'] else 'NO'}")
+        lines.append(f"  converged: {'yes' if oracle['converged'] else 'no'}"
+                     f"  max residual: {oracle['max_residual']}")
     return "\n".join(lines) + "\n"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     poly = Polynomial.parse(args.coeffs)
-    policy = Policy(args.policy)
-    report = classify(poly, policy, with_oracle=args.oracle)
-    if args.json:
-        sys.stdout.write(render_json(analysis_document(poly, args.policy, report)))
-    else:
-        sys.stdout.write(_analysis_text(poly, args.policy, report))
-    return _VERDICT_EXIT[report.verdict]
+    report = classify(poly, Policy(args.policy), with_oracle=args.oracle)
+    doc = analysis_document(poly, args.policy, report)
+    return doc, lambda: _analysis_text(doc, poly), _VERDICT_EXIT[report.verdict]
 
 
-def _cmd_compare(args) -> int:
+def _policy_row(poly: Polynomial, policy: Policy, oracle_rhp: int) -> dict:
+    try:
+        report = classify(poly, policy)
+    except PolicyUnsupported as exc:
+        return {
+            "policy": policy.value,
+            "supported": False,
+            "sign_changes": None,
+            "rhp_count": None,
+            "verdict": Verdict.UNDETERMINED.value,
+            "events": [],
+            "error": str(exc),
+            "agrees_with_oracle": None,
+        }
+    return {
+        "policy": policy.value,
+        "supported": True,
+        "sign_changes": report.sign_changes,
+        "rhp_count": report.rhp_count,
+        "verdict": report.verdict.value,
+        "events": _events_doc(report.events),
+        "agrees_with_oracle": report.rhp_count == oracle_rhp,
+    }
+
+
+def _compare_text(doc: dict, poly: Polynomial) -> str:
+    lines = [f"polynomial: {poly}  (degree {poly.degree})",
+             f"{'policy':<12} {'sign_changes':>12} {'rhp':>4}  {'verdict':<20} "
+             f"{'agrees':>7}  events"]
+    for row in doc["policies"]:
+        if row["supported"]:
+            events = ",".join(f"{e['kind']}@s^{e['row_power']}"
+                              if e["row_power"] is not None else e["kind"]
+                              for e in row["events"]) or "-"
+            agrees = "yes" if row["agrees_with_oracle"] else "NO"
+            lines.append(f"{row['policy']:<12} {row['sign_changes']:>12} "
+                         f"{row['rhp_count']:>4}  {row['verdict']:<20} "
+                         f"{agrees:>7}  {events}")
+        else:
+            lines.append(f"{row['policy']:<12} {'-':>12} {'-':>4}  "
+                         f"{row['verdict']:<20} {'-':>7}  PolicyUnsupported")
+    oracle = doc["oracle"]
+    lines.append(f"{'oracle':<12} {'-':>12} {oracle['rhp']:>4}  "
+                 f"lhp={oracle['lhp']} axis={oracle['axis']}")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_compare(args):
     poly = Polynomial.parse(args.coeffs)
     root_set = find_roots(poly) if poly.degree >= 1 else None
     counts = half_plane_counts(root_set) if root_set else None
     oracle_rhp = counts.rhp if counts else 0
-
-    rows = []
-    for policy in _COMPARE_POLICIES:
-        try:
-            report = classify(poly, policy)
-            rows.append({
-                "policy": policy.value,
-                "supported": True,
-                "sign_changes": report.sign_changes,
-                "rhp_count": report.rhp_count,
-                "verdict": report.verdict.value,
-                "events": [_event_doc(ev) for ev in report.events],
-                "agrees_with_oracle": report.rhp_count == oracle_rhp,
-            })
-        except PolicyUnsupported as exc:
-            rows.append({
-                "policy": policy.value,
-                "supported": False,
-                "sign_changes": None,
-                "rhp_count": None,
-                "verdict": Verdict.UNDETERMINED.value,
-                "events": [],
-                "error": str(exc),
-                "agrees_with_oracle": None,
-            })
-
-    if args.json:
-        doc = {
-            "input": {"degree": poly.degree,
-                      "coefficients": poly.descending_strings()},
-            "policies": rows,
-            "oracle": {
-                "roots": [{"re": _fmt(r.real), "im": _fmt(r.imag)}
-                          for r in (root_set.roots if root_set else ())],
-                "lhp": counts.lhp if counts else 0,
-                "rhp": oracle_rhp,
-                "axis": counts.axis if counts else 0,
-            },
-            "version": __version__,
-        }
-        sys.stdout.write(render_json(doc))
-    else:
-        lines = [f"polynomial: {poly}  (degree {poly.degree})"]
-        header = f"{'policy':<12} {'sign_changes':>12} {'rhp':>4}  {'verdict':<20} {'agrees':>7}  events"
-        lines.append(header)
-        for row in rows:
-            if row["supported"]:
-                events = ",".join(f"{e['kind']}@s^{e['row_power']}"
-                                  if e["row_power"] is not None else e["kind"]
-                                  for e in row["events"]) or "-"
-                agrees = "yes" if row["agrees_with_oracle"] else "NO"
-                lines.append(f"{row['policy']:<12} {row['sign_changes']:>12} "
-                             f"{row['rhp_count']:>4}  {row['verdict']:<20} "
-                             f"{agrees:>7}  {events}")
-            else:
-                lines.append(f"{row['policy']:<12} {'-':>12} {'-':>4}  "
-                             f"{row['verdict']:<20} {'-':>7}  PolicyUnsupported")
-        lines.append(f"{'oracle':<12} {'-':>12} {oracle_rhp:>4}  "
-                     f"lhp={counts.lhp if counts else 0} axis={counts.axis if counts else 0}")
-        sys.stdout.write("\n".join(lines) + "\n")
-
-    supported = [r for r in rows if r["supported"]]
-    return 0 if all(r["agrees_with_oracle"] for r in supported) else 1
+    rows = [_policy_row(poly, policy, oracle_rhp) for policy in _COMPARE_POLICIES]
+    doc = {
+        "input": _input_doc(poly),
+        "policies": rows,
+        "oracle": {
+            "roots": _roots_doc(root_set.roots if root_set else ()),
+            "lhp": counts.lhp if counts else 0,
+            "rhp": oracle_rhp,
+            "axis": counts.axis if counts else 0,
+        },
+        "version": __version__,
+    }
+    code = 0 if all(r["agrees_with_oracle"] for r in rows if r["supported"]) else 1
+    return doc, lambda: _compare_text(doc, poly), code
 
 
 def _corpus_doc(summary: CorpusSummary) -> dict:
@@ -223,7 +226,7 @@ def _corpus_doc(summary: CorpusSummary) -> dict:
         "max_degree": summary.max_degree,
         "seed": summary.seed,
         "lhp_only": summary.lhp_only,
-        "policy": summary.policy.value,
+        "policy": CORPUS_POLICY.value,
         "agreements": summary.agreements,
         "agreement_rate": f"{summary.agreements}/{summary.count}",
         "verdicts": dict(sorted(summary.verdict_counts.items())),
@@ -235,7 +238,7 @@ def _corpus_doc(summary: CorpusSummary) -> dict:
                 "routh_rhp": d.routh_rhp,
                 "oracle_rhp": d.oracle_rhp,
                 "expected_rhp": d.expected_rhp,
-                "roots": [{"re": _fmt(r.real), "im": _fmt(r.imag)} for r in d.roots],
+                "roots": _roots_doc(d.roots),
                 "events": list(d.events),
             }
             for d in summary.disagreements
@@ -244,65 +247,64 @@ def _corpus_doc(summary: CorpusSummary) -> dict:
     }
 
 
-def _cmd_corpus(args) -> int:
+def _corpus_text(doc: dict) -> str:
+    lines = [
+        f"corpus: count={doc['count']} max_degree={doc['max_degree']} "
+        f"seed={doc['seed']} roots={'lhp-only' if doc['lhp_only'] else 'mixed'}",
+        f"agreement: {doc['agreement_rate']}",
+        "verdicts: " + (" ".join(f"{k}={v}" for k, v in doc["verdicts"].items()) or "-"),
+        "events: " + (" ".join(f"{k}={v}" for k, v in doc["events"].items()) or "none"),
+    ]
+    for d in doc["disagreements"]:
+        roots = [f"({_root_text(r)})" for r in d["roots"]]
+        lines.append(
+            f"DISAGREEMENT: {d['polynomial']} routh_rhp={d['routh_rhp']} "
+            f"oracle_rhp={d['oracle_rhp']} expected_rhp={d['expected_rhp']} "
+            f"roots={roots} events={d['events']}")
+    if not doc["disagreements"]:
+        lines.append("disagreements: none")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_corpus(args):
     summary = run_corpus(args.count, args.max_degree, args.seed,
                          lhp_only=args.lhp_only)
-    if args.json:
-        sys.stdout.write(render_json(_corpus_doc(summary)))
+    doc = _corpus_doc(summary)
+    return doc, lambda: _corpus_text(doc), 0 if summary.all_agree else 1
+
+
+def _sweep_text(doc: dict, policy_name: str) -> str:
+    k = doc["parameter"]
+    lines = [f"sweep over {k}: range {doc['range']['lo']} to {doc['range']['hi']} "
+             f"in {doc['steps']} steps (policy {policy_name})"]
+    if doc["intervals"]:
+        lines.append(f"stable intervals for {k}:")
+        for iv in doc["intervals"]:
+            lo, hi = Fraction(iv["lo"]), Fraction(iv["hi"])
+            lines.append(f"  [{_fmt(float(lo))}, {_fmt(float(hi))}]"
+                         f"  (exact {lo} .. {hi})")
     else:
-        lines = [
-            f"corpus: count={summary.count} max_degree={summary.max_degree} "
-            f"seed={summary.seed} roots={'lhp-only' if summary.lhp_only else 'mixed'}",
-            f"agreement: {summary.agreements}/{summary.count}",
-            "verdicts: " + (" ".join(f"{k}={v}" for k, v in
-                                     sorted(summary.verdict_counts.items())) or "-"),
-            "events: " + (" ".join(f"{k}={v}" for k, v in
-                                   sorted(summary.event_counts.items())) or "none"),
-        ]
-        if summary.disagreements:
-            for d in summary.disagreements:
-                lines.append(
-                    f"DISAGREEMENT: {d.polynomial} routh_rhp={d.routh_rhp} "
-                    f"oracle_rhp={d.oracle_rhp} expected_rhp={d.expected_rhp} "
-                    f"roots={[str(r) for r in d.roots]} events={list(d.events)}")
-        else:
-            lines.append("disagreements: none")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if summary.all_agree else 1
+        lines.append("stable intervals: none")
+    for sample in doc.get("samples", ()):
+        lines.append(f"  {k}={_fmt(float(Fraction(sample[k])))}: {sample['verdict']}")
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     lo, hi = args.range
     result = run_sweep(args.coeffs, lo, hi, args.steps,
                        policy=Policy(args.policy))
-    if args.json:
-        doc = {
-            "parameter": result.parameter,
-            "range": {"lo": str(result.lo), "hi": str(result.hi)},
-            "steps": result.steps,
-            "intervals": [{"lo": str(a), "hi": str(b)}
-                          for a, b in result.intervals],
-            "version": __version__,
-        }
-        if args.samples:
-            doc["samples"] = [{"K": str(v), "verdict": verdict}
-                              for v, verdict in result.samples]
-        sys.stdout.write(render_json(doc))
-    else:
-        lines = [f"sweep over {result.parameter}: range {result.lo} to {result.hi} "
-                 f"in {result.steps} steps (policy {args.policy})"]
-        if result.intervals:
-            lines.append(f"stable intervals for {result.parameter}:")
-            for a, b in result.intervals:
-                lines.append(f"  [{_fmt(float(a))}, {_fmt(float(b))}]"
-                             f"  (exact {a} .. {b})")
-        else:
-            lines.append("stable intervals: none")
-        if args.samples:
-            for v, verdict in result.samples:
-                lines.append(f"  K={_fmt(float(v))}: {verdict}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    doc = {
+        "parameter": result.parameter,
+        "range": {"lo": str(result.lo), "hi": str(result.hi)},
+        "steps": result.steps,
+        "intervals": [{"lo": str(a), "hi": str(b)} for a, b in result.intervals],
+        "version": __version__,
+    }
+    if args.samples:
+        doc["samples"] = [{"K": str(v), "verdict": verdict}
+                          for v, verdict in result.samples]
+    return doc, lambda: _sweep_text(doc, args.policy), 0
 
 
 def _range_arg(text: str) -> tuple[Fraction, Fraction]:
@@ -363,7 +365,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        doc, text, code = args.func(args)
+        sys.stdout.write(render_json(doc) if args.json else text())
+        return code
     except (RouthKitError, ValueError, ZeroDivisionError) as exc:
         print(f"routhkit: error: {exc}", file=sys.stderr)
         return EXIT_DATA

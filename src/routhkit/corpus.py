@@ -20,7 +20,6 @@ and each draw uses the high 32 bits of the new state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import PolicyUnsupported
 from .polynomial import Polynomial
@@ -29,6 +28,9 @@ from .routh import Policy, classify
 _LCG_MUL = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
+
+#: The remedy policy every corpus polynomial is classified under.
+POLICY = Policy.AUTO
 
 
 class Lcg64:
@@ -49,31 +51,37 @@ class Lcg64:
 
 
 def random_roots(rng: Lcg64, degree: int, lhp_only: bool = False) -> list[complex]:
-    """Distinct grid roots, conjugate-closed, |Re| >= 1/4, |z| <= 5."""
+    """Distinct grid roots, conjugate-closed, |Re| >= 1/grid, |z| <= 5."""
     grid = 4 if degree <= 9 else 2
     span = 3 * grid          # components range over +-[1/grid, 3]
+    real_span = span + grid // 2     # real roots reach 3.5
+    free_reals = real_span if lhp_only else 2 * real_span
     roots: list[complex] = []
-    used: set[tuple[Fraction, Fraction]] = set()
+    used: set[tuple[int, int]] = set()     # grid numerators of (re, im)
     remaining = degree
     while remaining:
-        as_pair = remaining >= 2 and rng.randint(0, 1) == 1
+        # an even remainder takes a pair once fewer than two real grid
+        # points are free, so an odd remainder always has one left
+        as_pair = remaining >= 2 and (rng.randint(0, 1) == 1
+                                      or (remaining % 2 == 0 and free_reals < 2))
         while True:
             sign = -1 if lhp_only or rng.randint(0, 1) == 0 else 1
             if as_pair:
-                re = Fraction(sign * rng.randint(1, span), grid)
-                im = Fraction(rng.randint(1, span), grid)
+                key = (sign * rng.randint(1, span), rng.randint(1, span))
             else:
-                re = Fraction(sign * rng.randint(1, span + grid // 2), grid)
-                im = Fraction(0)
-            if (re, im) not in used:
-                used.add((re, im))
+                key = (sign * rng.randint(1, real_span), 0)
+            if key not in used:
+                used.add(key)
                 break
+        # exact: grid is a power of two
+        re, im = key[0] / grid, key[1] / grid
         if as_pair:
             roots.append(complex(re, im))
             roots.append(complex(re, -im))
             remaining -= 2
         else:
             roots.append(complex(re, 0.0))
+            free_reals -= 1
             remaining -= 1
     return roots
 
@@ -101,7 +109,6 @@ class CorpusSummary:
     max_degree: int
     seed: int
     lhp_only: bool
-    policy: Policy
     agreements: int = 0
     disagreements: list[Disagreement] = field(default_factory=list)
     event_counts: dict[str, int] = field(default_factory=dict)
@@ -115,8 +122,9 @@ class CorpusSummary:
 
 
 def run_corpus(count: int, max_degree: int, seed: int,
-               lhp_only: bool = False, policy: Policy = Policy.AUTO) -> CorpusSummary:
-    """Classify `count` random polynomials and tally oracle agreement.
+               lhp_only: bool = False) -> CorpusSummary:
+    """Classify `count` random polynomials under `POLICY` and tally oracle
+    agreement.
 
     A polynomial counts as agreeing only when the array's count, the
     oracle's count, and the count known from the constructed roots all
@@ -129,11 +137,11 @@ def run_corpus(count: int, max_degree: int, seed: int,
 
     rng = Lcg64(seed)
     summary = CorpusSummary(count=count, max_degree=max_degree, seed=seed,
-                            lhp_only=lhp_only, policy=policy)
+                            lhp_only=lhp_only)
     for _ in range(count):
         poly, roots = random_polynomial(rng, max_degree, lhp_only)
         try:
-            report = classify(poly, policy, with_oracle=True)
+            report = classify(poly, POLICY, with_oracle=True)
         except PolicyUnsupported as exc:
             # not observed with the formal infinitesimal, but a policy
             # refusal must surface as a counterexample, not a crash

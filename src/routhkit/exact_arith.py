@@ -48,36 +48,15 @@ PoleAtZero = _PoleAtZero
 POLE_AT_ZERO = _PoleAtZero()
 
 
-def _render_terms(coeffs: tuple[Fraction, ...], var: str) -> str:
-    """Render a coefficient tuple (ascending powers) as `c + c*var + ...`."""
-    parts = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            power = var if k == 1 else f"{var}^{k}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+class _DensePoly:
+    """Dense polynomial with rational coefficients: the core that `EpsPoly`
+    (in e) and `polynomial.Polynomial` (in s) share.
 
-
-class EpsPoly:
-    """Polynomial in the infinitesimal `e` with Rational coefficients.
-
-    The polynomial is held as integer coefficients, ascending by power of e
-    with trailing zeros stripped, over one shared positive denominator, and
-    add, neg and mul run on those integers.  `coeffs` gives the same
+    The polynomial is held as integer coefficients, ascending by power with
+    trailing zeros stripped, over one shared positive denominator, and add,
+    neg, mul and scale run on those integers.  `coeffs` gives the same
     polynomial as a tuple of Fractions; the zero polynomial has an empty
-    coefficient tuple.
+    coefficient tuple.  Operands of two different subclasses do not mix.
     """
 
     __slots__ = ("_ints", "_denom", "_coeffs")
@@ -92,7 +71,7 @@ class EpsPoly:
         self._coeffs = tuple(cs)
 
     @classmethod
-    def _raw(cls, ints: list[int], denom: int) -> "EpsPoly":
+    def _raw(cls, ints: list[int], denom: int):
         """Wrap integer coefficients with no trailing zero over a positive
         denominator, without rechecking.  The list is never mutated."""
         self = object.__new__(cls)
@@ -111,6 +90,89 @@ class EpsPoly:
     @property
     def is_zero(self) -> bool:
         return not self._ints
+
+    def scale(self, factor: _CoeffLike):
+        f = Fraction(factor)
+        if not f:
+            return type(self)()
+        return type(self)._raw([c * f.numerator for c in self._ints],
+                               self._denom * f.denominator)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._ints, other._ints
+        denom = self._denom
+        if denom != other._denom:
+            g = gcd(denom, other._denom)
+            ma, mb = other._denom // g, denom // g
+            a = [c * ma for c in a]
+            b = [c * mb for c in b]
+            denom *= ma
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] += c
+        while out and not out[-1]:
+            out.pop()
+        return type(self)._raw(out, denom)
+
+    def __neg__(self):
+        return type(self)._raw([-c for c in self._ints], self._denom)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._ints, other._ints
+        if not a or not b:
+            return type(self)()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b, i):
+                    out[j] += ca * cb
+        # a product of nonzero leading coefficients is nonzero
+        return type(self)._raw(out, self._denom * other._denom)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def _render(self, var: str, descending: bool) -> str:
+        """The nonzero terms as `c + c*var + c*var^2 ...`, in ascending or
+        descending order of powers."""
+        terms = [(k, c) for k, c in enumerate(self.coeffs) if c]
+        if descending:
+            terms.reverse()
+        out = ""
+        for k, c in terms:
+            mag = abs(c)
+            if k == 0:
+                body = str(mag)
+            else:
+                power = var if k == 1 else f"{var}^{k}"
+                body = power if mag == 1 else f"{mag}*{power}"
+            if out:
+                out += (" - " if c < 0 else " + ") + body
+            else:
+                out = "-" + body if c < 0 else body
+        return out or "0"
+
+
+class EpsPoly(_DensePoly):
+    """Polynomial in the infinitesimal `e` with Rational coefficients."""
+
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -132,53 +194,12 @@ class EpsPoly:
         """Coefficient of e^0."""
         return self.coeffs[0] if self._ints else Fraction(0)
 
-    def scale(self, factor: Fraction) -> "EpsPoly":
-        if not factor:
-            return EpsPoly()
-        return EpsPoly([c * factor for c in self.coeffs])
-
     def evaluate(self, value: Fraction) -> Fraction:
         """Exact Horner evaluation at a rational point."""
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
-
-    def __add__(self, other: "EpsPoly") -> "EpsPoly":
-        a, b = self._ints, other._ints
-        denom = self._denom
-        if denom != other._denom:
-            g = gcd(denom, other._denom)
-            ma, mb = other._denom // g, denom // g
-            a = [c * ma for c in a]
-            b = [c * mb for c in b]
-            denom *= ma
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        while out and not out[-1]:
-            out.pop()
-        return EpsPoly._raw(out, denom)
-
-    def __neg__(self) -> "EpsPoly":
-        return EpsPoly._raw([-c for c in self._ints], self._denom)
-
-    def __sub__(self, other: "EpsPoly") -> "EpsPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "EpsPoly") -> "EpsPoly":
-        a, b = self._ints, other._ints
-        if not a or not b:
-            return EpsPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    out[j] += ca * cb
-        # a product of nonzero leading coefficients is nonzero
-        return EpsPoly._raw(out, self._denom * other._denom)
 
     def __divmod__(self, other: "EpsPoly") -> tuple["EpsPoly", "EpsPoly"]:
         if other.is_zero:
@@ -203,16 +224,8 @@ class EpsPoly:
     def __mod__(self, other: "EpsPoly") -> "EpsPoly":
         return divmod(self, other)[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EpsPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __str__(self):
-        return _render_terms(self.coeffs, "e")
+        return self._render("e", descending=False)
 
     def __repr__(self):
         return f"EpsPoly({list(self.coeffs)!r})"

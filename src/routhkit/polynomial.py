@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 from .errors import EmptyPolynomial, ParseError, UnpairedComplexRoot
+from .exact_arith import _DensePoly
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
+
+# tolerance, relative to max(1, |r|), for a root to count as real and for
+# two roots to count as a conjugate pair
+_PAIR_TOL = 1e-12
 
 _TERM = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
@@ -27,20 +32,15 @@ _TERM = re.compile(
 )
 
 
-class Polynomial:
-    """Real polynomial with exact rational coefficients.
+class Polynomial(_DensePoly):
+    """Real polynomial in s with exact rational coefficients.
 
-    The zero polynomial is a distinct state (empty coefficient tuple) with
-    no defined degree.
+    Arithmetic, equality, hashing and the term renderer come from the dense
+    core in `exact_arith`.  The zero polynomial is a distinct state (empty
+    coefficient tuple) with no defined degree.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    __slots__ = ()
 
     # -- construction --------------------------------------------------------
 
@@ -53,17 +53,17 @@ class Polynomial:
         if "s" in stripped:
             coeffs = _parse_terms(stripped)
         else:
-            coeffs = _parse_coeff_list(stripped)
+            coeffs = parse_coefficient_list(stripped)[::-1]
         p = cls(coeffs)
         if p.is_zero:
             raise EmptyPolynomial(f"all coefficients are zero in {text!r}")
         return p
 
     @classmethod
-    def from_roots(cls, roots: Sequence[complex], pair_tol: float = 1e-12) -> "Polynomial":
+    def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
         """Monic polynomial with the given roots.
 
-        Non-real roots must occur in conjugate pairs (within `pair_tol`).
+        Non-real roots must occur in conjugate pairs (within `_PAIR_TOL`).
         Real and paired factors are expanded exactly, as integer polynomials
         over one common denominator (float components are exact binary
         rationals), then each coefficient is rounded to the nearest fraction
@@ -77,7 +77,7 @@ class Polynomial:
         pos: list[complex] = []
         neg: list[complex] = []
         for r in items:
-            if abs(r.imag) <= pair_tol * max(1.0, abs(r)):
+            if abs(r.imag) <= _PAIR_TOL * max(1.0, abs(r)):
                 reals.append(r.real)
             elif r.imag > 0:
                 pos.append(r)
@@ -91,21 +91,20 @@ class Polynomial:
         for r in pos:
             dists = [abs(r - u.conjugate()) for u in unmatched]
             best = min(range(len(dists)), key=dists.__getitem__)
-            if dists[best] > pair_tol * max(1.0, abs(r)):
+            if dists[best] > _PAIR_TOL * max(1.0, abs(r)):
                 raise UnpairedComplexRoot(f"no conjugate partner for root {r}")
             pairs.append((r, unmatched.pop(best)))
 
-        ints, denom = [1], 1
+        product = cls._raw([1], 1)
         for x in reals:
             a, d = x.as_integer_ratio()
-            ints = _mul_int(ints, [-a, d])          # (d*s - a) / d
-            denom *= d
+            product *= cls._raw([-a, d], d)             # (d*s - a) / d
         for r, u in pairs:
             (re1, re2, im1, im2), d = _binary_over_common_denominator(
                 r.real, u.real, r.imag, u.imag)
             # (s - r)(s - u) = (d^2 s^2 - d(re1 + re2) s + re1 re2 - im1 im2) / d^2
-            ints = _mul_int(ints, [re1 * re2 - im1 * im2, -d * (re1 + re2), d * d])
-            denom *= d * d
+            product *= cls._raw([re1 * re2 - im1 * im2, -d * (re1 + re2), d * d],
+                                d * d)
 
         approx = _expand_complex(items)
         scale = max(1.0, max(abs(c) for c in approx))
@@ -114,40 +113,41 @@ class Polynomial:
             raise UnpairedComplexRoot(
                 f"imaginary residue {residue:.3e} exceeds tolerance after pairing")
 
-        return cls([Fraction(c, denom).limit_denominator(10 ** 6) for c in ints])
+        return cls([c.limit_denominator(10 ** 6) for c in product.coeffs])
 
     # -- accessors ------------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def degree(self) -> int:
-        if not self.coeffs:
+        if not self._ints:
             raise ValueError("zero polynomial has no degree")
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self._ints else Fraction(0)
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of s^k; zero outside the stored range."""
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self._ints):
             return self.coeffs[k]
         return Fraction(0)
+
+    def descending_strings(self) -> list[str]:
+        """Coefficients as exact fraction strings, highest power first."""
+        return [str(c) for c in reversed(self.coeffs)]
 
     # -- operations -----------------------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Polynomial._raw([k * c for k, c in enumerate(self._ints)][1:],
+                               self._denom)
 
     def evaluate(self, z: complex) -> complex:
         """Horner evaluation in double precision."""
@@ -161,94 +161,34 @@ class Polynomial:
         if self.is_zero:
             raise ValueError("zero polynomial has no root structure")
         k = 0
-        while not self.coeffs[k]:
+        while not self._ints[k]:
             k += 1
-        return k, Polynomial(self.coeffs[k:])
-
-    def scale(self, factor: int | Fraction) -> "Polynomial":
-        f = Fraction(factor)
-        return Polynomial([c * f for c in self.coeffs])
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return k, Polynomial._raw(self._ints[k:], self._denom) if k else self
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                power = "s" if k == 1 else f"s^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return self._render("s", descending=True)
 
     def __repr__(self):
         return f"Polynomial({self})"
 
-    def descending_strings(self) -> list[str]:
-        """Coefficients as exact fraction strings, highest power first."""
-        return [str(c) for c in reversed(self.coeffs)]
 
-
-def _parse_coeff_list(text: str) -> list[Fraction]:
-    tokens = [t for t in _TOKEN_SPLIT.split(text) if t]
-    coeffs = []
+def parse_coefficient_list(text: str,
+                           placeholder: Optional[str] = None) -> list[Optional[Fraction]]:
+    """Coefficients of a comma/space-separated list, in the order written
+    (descending powers); each token equal to `placeholder` becomes None."""
+    tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
+    if not tokens:
+        raise ParseError(f"no coefficients in {text!r}")
+    coeffs: list[Optional[Fraction]] = []
     for tok in tokens:
+        if tok == placeholder:
+            coeffs.append(None)
+            continue
         try:
             coeffs.append(Fraction(tok))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coefficient {tok!r}") from exc
-    if not coeffs:
-        raise ParseError(f"no coefficients in {text!r}")
-    return list(reversed(coeffs))
+    return coeffs
 
 
 def _parse_terms(text: str) -> list[Fraction]:
@@ -285,15 +225,6 @@ def _binary_over_common_denominator(*values: float) -> tuple[list[int], int]:
     ratios = [v.as_integer_ratio() for v in values]
     denom = max(d for _, d in ratios)
     return [n * (denom // d) for n, d in ratios], denom
-
-
-def _mul_int(a: list[int], b: list[int]) -> list[int]:
-    """Product of two ascending integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b, i):
-            out[j] += ca * cb
-    return out
 
 
 def _expand_complex(roots: Sequence[complex]) -> list[complex]:

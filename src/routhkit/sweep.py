@@ -2,7 +2,9 @@
 
 One coefficient position in a descending list holds the literal `K`; the
 sweep substitutes N exact rational samples over [lo, hi], classifies each,
-and merges consecutive Stable samples into intervals.  Interval endpoints
+and merges consecutive Stable samples into intervals.  A sample whose
+degree falls below the template's (a zero K in the leading slot) belongs
+to another polynomial family and reads Undetermined.  Interval endpoints
 are the first and last stable sample values, i.e. accurate to one step.
 """
 
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import MultipleParameters, NoParameter, ParseError
-from .polynomial import Polynomial, _TOKEN_SPLIT
+from .errors import MultipleParameters, NoParameter
+from .polynomial import Polynomial, parse_coefficient_list
 from .routh import Policy, Verdict, classify
 
 
@@ -29,20 +31,8 @@ class SweepResult:
 
 def parse_template(text: str) -> list[Optional[Fraction]]:
     """Descending coefficient list with exactly one None at the K slot."""
-    tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
-    if not tokens:
-        raise ParseError(f"no coefficients in {text!r}")
-    slots: list[Optional[Fraction]] = []
-    k_count = 0
-    for tok in tokens:
-        if tok == "K":
-            slots.append(None)
-            k_count += 1
-            continue
-        try:
-            slots.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad coefficient {tok!r}") from exc
+    slots = parse_coefficient_list(text, placeholder="K")
+    k_count = slots.count(None)
     if k_count == 0:
         raise NoParameter("sweep template must contain one K coefficient")
     if k_count > 1:
@@ -57,6 +47,9 @@ def run_sweep(template_text: str, lo: Fraction, hi: Fraction, steps: int,
     if hi <= lo:
         raise ValueError("range must satisfy lo < hi")
     slots = parse_template(template_text)
+    # the highest slot holding K or a nonzero literal fixes the degree
+    lead = next(i for i, c in enumerate(slots) if c is None or c)
+    degree = len(slots) - 1 - lead
 
     samples: list[tuple[Fraction, str]] = []
     span = hi - lo
@@ -64,7 +57,7 @@ def run_sweep(template_text: str, lo: Fraction, hi: Fraction, steps: int,
         value = lo + span * Fraction(i, steps - 1)
         descending = [value if c is None else c for c in slots]
         poly = Polynomial(reversed(descending))
-        if poly.is_zero:
+        if poly.is_zero or poly.degree < degree:
             samples.append((value, "Undetermined"))
             continue
         verdict = classify(poly, policy).verdict

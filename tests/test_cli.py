@@ -161,6 +161,14 @@ class TestCorpus:
         assert doc["verdicts"] == {"Stable": 40}
         assert doc["events"] == {}
 
+    def test_lhp_only_high_degree_finishes(self, capsys):
+        # above degree 9 the grid holds only 7 left-half-plane real roots
+        code, out, _ = run_cli(capsys, "corpus", "--count", "11",
+                               "--max-degree", "12", "--seed", "7",
+                               "--lhp-only")
+        assert code == 0
+        assert "agreement: 11/11" in out
+
     def test_deterministic_for_fixed_seed(self, capsys):
         _, first, _ = run_cli(capsys, "corpus", "--count", "30",
                               "--max-degree", "8", "--seed", "123", "--json")

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from routhkit import (EmptyPolynomial, ParseError, Polynomial,
+from routhkit import (EmptyPolynomial, EpsPoly, ParseError, Polynomial,
                       UnpairedComplexRoot)
 from conftest import random_fraction
 
@@ -60,6 +61,31 @@ class TestRender:
         assert str(Polynomial([-6, -7, 0, 1])) == "s^3 - 7*s - 6"
         assert str(Polynomial([Fraction(1, 2), 2])) == "2*s + 1/2"
         assert str(Polynomial()) == "0"
+
+
+class TestDenseCore:
+    def test_one_renderer_both_orders(self):
+        coeffs = [Fraction(-1, 2), 0, 3, -1]
+        assert str(Polynomial(coeffs)) == "-s^3 + 3*s^2 - 1/2"
+        assert str(EpsPoly(coeffs)) == "-1/2 + 3*e^2 - e^3"
+
+    def test_types_do_not_mix(self):
+        p, e = Polynomial([1, 1]), EpsPoly([1, 1])
+        assert p != e
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(p, e)
+            with pytest.raises(TypeError):
+                op(e, p)
+
+    def test_arithmetic_and_scale(self):
+        p, q = Polynomial([1, Fraction(1, 2)]), Polynomial([Fraction(-1, 3), 0, 2])
+        assert p + q == Polynomial([Fraction(2, 3), Fraction(1, 2), 2])
+        assert p - p == Polynomial() and (p - p).is_zero
+        assert p * q == Polynomial([Fraction(-1, 3), Fraction(-1, 6), 2, 1])
+        assert p.scale(Fraction(-2, 3)) == Polynomial([Fraction(-2, 3), Fraction(-1, 3)])
+        assert p.scale(0).is_zero
+        assert hash(p * q) == hash(Polynomial([Fraction(-1, 3), Fraction(-1, 6), 2, 1]))
 
 
 class TestDerivative:
