@@ -131,6 +131,47 @@ class TestCanonicalForm:
         assert str(ZERO) == "0"
 
 
+class TestEpsFreeValues:
+    """An e-free EpsRat behaves as the Fraction it equals: same ==, hash
+    and rendering, however it was produced."""
+
+    @pytest.mark.parametrize("q", [0, 1, -3, Fraction(22, 7), Fraction(-1, 3), 10 ** 30])
+    def test_from_rational_agrees_with_fraction(self, q):
+        x = EpsRat.from_rational(q)
+        assert x == Fraction(q) and hash(x) == hash(Fraction(q))
+        assert x.is_eps_free and x.as_fraction() == Fraction(q)
+        assert str(x) == str(Fraction(q))
+
+    def test_eps_free_result_of_eps_arithmetic(self):
+        x = (3 * EPSILON + 6) / EPSILON - 6 / EPSILON
+        assert x == 3 and hash(x) == hash(Fraction(3))
+        assert str(x) == "3"
+        assert x.is_eps_free
+        assert x.as_fraction() == Fraction(3) and type(x.as_fraction()) is Fraction
+        assert EPSILON - EPSILON == ZERO and hash(EPSILON - EPSILON) == hash(0)
+        assert -(EPSILON / (2 * EPSILON)) == Fraction(-1, 2)
+
+    def test_dict_lookup_across_forms(self):
+        x = (3 * EPSILON + 6) / EPSILON - 6 / EPSILON
+        assert {Fraction(3): "q"}[x] == "q"
+        assert {x: "x"}[Fraction(3)] == "x"
+        assert {EpsRat.from_rational(Fraction(1, 2)): "h"}[Fraction(1, 2)] == "h"
+
+    def test_eps_term_has_no_fraction(self):
+        assert not EPSILON.is_eps_free
+        with pytest.raises(ValueError):
+            EPSILON.as_fraction()
+        with pytest.raises(ValueError):
+            (1 / EPSILON).as_fraction()
+
+    @given(eps_rats.filter(bool),
+           st.fractions(max_denominator=50).filter(lambda q: abs(q) < 10 ** 6))
+    def test_cancelled_eps_matches_fraction(self, a, q):
+        x = (a * q) / a
+        assert x.is_eps_free and x == q and hash(x) == hash(q)
+        assert str(x) == str(q) and x.as_fraction() == q
+
+
 class TestFieldProperties:
     @given(eps_rats, eps_rats, eps_rats)
     def test_ring_axioms(self, a, b, c):
