@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         doc, text, code = args.func(args)
         sys.stdout.write(render_json(doc) if args.json else text())
         return code
-    except (RouthKitError, ValueError, ZeroDivisionError) as exc:
+    except (RouthKitError, ValueError) as exc:
         print(f"routhkit: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # a crash must not read as a verdict

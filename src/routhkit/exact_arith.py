@@ -335,7 +335,7 @@ class EpsRat:
     operands.  Ordering compares values in the limit e -> 0+.
     """
 
-    __slots__ = ("num", "den", "_scalar")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
         num = _as_poly(num)
@@ -348,11 +348,6 @@ class EpsRat:
             num, den = _canonicalize(num, den)
         self.num = num
         self.den = den
-        # cache the plain-rational value for the eps-free case
-        if den.degree == 0 and num.degree <= 0:  # canonical: den == 1
-            self._scalar = num.constant()
-        else:
-            self._scalar = None
 
     @classmethod
     def from_rational(cls, value: _CoeffLike) -> "EpsRat":
@@ -360,7 +355,6 @@ class EpsRat:
         v = value if type(value) is Fraction else Fraction(value)
         self.num = EpsPoly._raw([v.numerator], v.denominator) if v else _ZERO_P
         self.den = _ONE_P
-        self._scalar = v
         return self
 
     @property
@@ -370,12 +364,12 @@ class EpsRat:
     @property
     def is_eps_free(self) -> bool:
         """True when the value does not involve e at all."""
-        return self._scalar is not None
+        return self.den.degree == 0 and self.num.degree <= 0  # canonical: den == 1
 
     def as_fraction(self) -> Fraction:
-        if self._scalar is None:
+        if not self.is_eps_free:
             raise ValueError(f"{self} is not eps-free")
-        return self._scalar
+        return self.num.constant()
 
     def sign(self) -> int:
         """Sign in the limit e -> 0+: -1, 0, or +1.
@@ -408,16 +402,12 @@ class EpsRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._scalar is not None and other._scalar is not None:
-            return EpsRat.from_rational(self._scalar + other._scalar)
         return EpsRat(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._scalar is not None:
-            return EpsRat.from_rational(-self._scalar)
         return EpsRat(-self.num, self.den)
 
     def __sub__(self, other):
@@ -436,8 +426,6 @@ class EpsRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self._scalar is not None and other._scalar is not None:
-            return EpsRat.from_rational(self._scalar * other._scalar)
         return EpsRat(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -448,8 +436,6 @@ class EpsRat:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("EpsRat division by zero")
-        if self._scalar is not None and other._scalar is not None:
-            return EpsRat.from_rational(self._scalar / other._scalar)
         return EpsRat(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -474,15 +460,15 @@ class EpsRat:
         return not self.num.is_zero
 
     def __hash__(self):
-        if self._scalar is not None:
-            return hash(self._scalar)
+        if self.is_eps_free:
+            return hash(self.num.constant())
         return hash((self.num.coeffs, self.den.coeffs))
 
     def __str__(self):
         """Render per the output grammar: plain fraction when eps-free,
         otherwise `(<poly>)/(<poly>)`, e.g. `(6 - 7*e)/(e)`."""
-        if self._scalar is not None:
-            return str(self._scalar)
+        if self.is_eps_free:
+            return str(self.num.constant())
         return f"({self.num})/({self.den})"
 
     def __repr__(self):

@@ -93,18 +93,11 @@ def _bareiss_leading_minors(a: list[list[int]]) -> list[int]:
         minors[k] = a[k][k]
         if k == n - 1:
             break
-        pivot = a[k][k]
-        if pivot == 0:
+        if a[k][k] == 0:
             for t in range(k + 1, n):
                 minors[t] = _det_int([row[: t + 1] for row in pristine[: t + 1]])
             break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q, r = divmod(pivot * a[i][j] - a[i][k] * a[k][j], prev)
-                if r:
-                    raise ArithmeticError("Bareiss division must be exact")
-                a[i][j] = q
-        prev = pivot
+        prev = _bareiss_step(a, k, prev)
     return minors
 
 
@@ -123,11 +116,21 @@ def _det_int(a: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q, r = divmod(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-                if r:
-                    raise ArithmeticError("Bareiss division must be exact")
-                a[i][j] = q
-        prev = a[k][k]
+        prev = _bareiss_step(a, k, prev)
     return sign * a[n - 1][n - 1]
+
+
+def _bareiss_step(a: list[list[int]], k: int, prev: int) -> int:
+    """Eliminate below the nonzero pivot a[k][k] in place, fraction-free:
+    every entry past row and column k is updated and divided, exactly, by
+    `prev`, the previous step's pivot (1 at the first step).  Returns the
+    pivot, which is the divisor of the next step."""
+    pivot = a[k][k]
+    n = len(a)
+    for i in range(k + 1, n):
+        for j in range(k + 1, n):
+            q, r = divmod(pivot * a[i][j] - a[i][k] * a[k][j], prev)
+            if r:
+                raise ArithmeticError("Bareiss division must be exact")
+            a[i][j] = q
+    return pivot

@@ -203,7 +203,10 @@ def _parse_terms(text: str) -> list[Fraction]:
             raise ParseError(f"missing + or - before {text[pos:].strip()!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("coef") is not None:
-            coef = Fraction(m.group("coef"))
+            try:
+                coef = Fraction(m.group("coef"))
+            except ZeroDivisionError as exc:
+                raise ParseError(f"bad coefficient {m.group('coef')!r}") from exc
             var, power = m.group("var1"), m.group("pow1")
         else:
             coef = Fraction(1)

@@ -30,14 +30,17 @@ class HalfPlaneCounts:
     lhp: int
     rhp: int
     axis: int
-    delta: float
 
 
-def find_roots(p: Polynomial, tol: float = 1e-13, max_iter: int = 1000) -> RootSet:
+# relative step size below which an estimate counts as converged
+_TOL = 1e-13
+
+
+def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
     """All complex roots of p, sorted by (re, im).
 
     Convergence requires every per-iteration update to fall below
-    tol * (1 + |z|); when max_iter passes without that, the current
+    _TOL * (1 + |z|); when max_iter passes without that, the current
     estimates are still returned with converged=False.
     """
     if p.is_zero or p.degree < 1:
@@ -72,7 +75,7 @@ def find_roots(p: Polynomial, tol: float = 1e-13, max_iter: int = 1000) -> RootS
                 done = False
                 continue
             z[i] = nxt
-            if done and abs(step) >= tol * (1.0 + abs(nxt)):
+            if done and abs(step) >= _TOL * (1.0 + abs(nxt)):
                 done = False
         if done:
             converged = True
@@ -98,7 +101,7 @@ def half_plane_counts(root_set: RootSet, delta: float = 1e-8) -> HalfPlaneCounts
             lhp += 1
         else:
             axis += 1
-    return HalfPlaneCounts(lhp=lhp, rhp=rhp, axis=axis, delta=delta)
+    return HalfPlaneCounts(lhp=lhp, rhp=rhp, axis=axis)
 
 
 def _horner(ascending: list[float], z: complex) -> complex:

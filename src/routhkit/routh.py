@@ -152,9 +152,9 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
 
     n = p.degree
     events: list[SpecialEvent] = []
-    # Entries are plain Fractions until a remedy brings in e; then every row
-    # so far is lifted into Q(e).  A later derivative row holds Fractions
-    # again, which the EpsRat operators coerce, and the end lifts the rest.
+    # Entries stay plain Fractions unless e reaches them, so a row may hold
+    # Fractions beside the EpsRats a remedy brought in; the EpsRat operators,
+    # reflected ones included, coerce them.  Rows are lifted once, at the end.
     rows = [[p.coeff(n - 2 * j) for j in range(n // 2 + 1)]]
     for power in range(n - 1, -1, -1):
         if power == n - 1:
@@ -167,9 +167,7 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
             row = [(pivot * r2 - head * r1) / pivot
                    for r2, r1 in zip(above2[1:], above[1:])]
             row += above2[len(above):]
-        if _remediate(row, power, rows[-1], policy, events):
-            rows = [_lift(r) for r in rows]
-            row = _lift(row)
+        _remediate(row, power, rows[-1], policy, events)
         rows.append(row)
 
     array = RouthArray(degree=n,
@@ -186,9 +184,8 @@ def _lift(row) -> tuple[EpsRat, ...]:
 
 
 def _remediate(row: list, power: int, above: Sequence, policy: Policy,
-               events: list[SpecialEvent]) -> bool:
-    """Repair a degenerate row in place, recording one event.  Returns True
-    when the repair brings in e."""
+               events: list[SpecialEvent]) -> None:
+    """Repair a degenerate row in place, recording one event."""
     if not any(row):
         if policy is Policy.SINGLE_EPSILON:
             raise PolicyUnsupported(
@@ -197,7 +194,7 @@ def _remediate(row: list, power: int, above: Sequence, policy: Policy,
             row[:] = [EPSILON] * len(row)
             events.append(SpecialEvent(EventKind.ZERO_ROW, power,
                                        "replaced every entry with e"))
-            return True
+            return
         aux = auxiliary_polynomial(above, power + 1)
         deriv = aux.derivative()
         row[:] = [deriv.coeff(power - 2 * j) for j in range(len(row))]
@@ -209,8 +206,6 @@ def _remediate(row: list, power: int, above: Sequence, policy: Policy,
         row[0] = EPSILON
         events.append(SpecialEvent(EventKind.ZERO_FIRST_ELEMENT, power,
                                    "replaced leading zero with e"))
-        return True
-    return False
 
 
 def count_sign_changes(array: RouthArray) -> tuple[tuple[int, ...], int]:
@@ -268,7 +263,7 @@ def classify(p: Polynomial, policy: Policy = Policy.AUTO,
             counts = half_plane_counts(root_set)
         else:
             root_set = RootSet(roots=(), max_residual=0.0, converged=True)
-            counts = HalfPlaneCounts(lhp=0, rhp=0, axis=0, delta=1e-8)
+            counts = HalfPlaneCounts(lhp=0, rhp=0, axis=0)
         oracle = OracleSummary(root_set=root_set, counts=counts,
                                agreement=(counts.rhp == changes))
 

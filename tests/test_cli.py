@@ -78,6 +78,22 @@ class TestAnalyze:
         assert err.startswith("routhkit: internal error: OverflowError")
         assert err.count("\n") == 1
 
+    def test_oracle_underflow_is_internal_error(self, capsys):
+        # 1e-400 underflows to 0.0 and the oracle divides by it: a defect,
+        # like the 1e400 overflow, not bad input
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", "1e-400,1,1",
+                                 "--oracle")
+        assert code == 70
+        assert out == ""
+        assert err.startswith("routhkit: internal error: ZeroDivisionError")
+        assert err.count("\n") == 1
+
+    def test_zero_denominator_in_term_form_is_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", "1/0*s + 1")
+        assert code == 65
+        assert out == ""
+        assert err == "routhkit: error: bad coefficient '1/0'\n"
+
     def test_policy_unsupported_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--coeffs", "1,0,0,0,1",
                                "--policy", "single-eps")
@@ -130,6 +146,13 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--coeffs", "1,0,-7,-6")
         assert code == 0
         assert out.count("Unstable") == 3
+
+    def test_oracle_underflow_is_internal_error(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "--coeffs", "1e-400,1,1")
+        assert code == 70
+        assert out == ""
+        assert err.startswith("routhkit: internal error: ZeroDivisionError")
+        assert err.count("\n") == 1
 
     def test_table_mentions_unsupported(self, capsys):
         _, out, _ = run_cli(capsys, "compare", "--coeffs", "1,0,0,0,1")

@@ -1,6 +1,6 @@
 """Differential checks of the integer kernels against plain exact references.
 
-`build_array` runs its recurrence over Fractions until e appears, and
+`build_array` keeps e-free entries as Fractions beside EpsRats, and
 `Polynomial.from_roots` expands over the integers; both must give exactly
 what the textbook formulas give over EpsRat and Fraction.
 """
