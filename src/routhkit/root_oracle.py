@@ -7,6 +7,14 @@ The solver iterates every root estimate simultaneously,
 on the monic-normalized polynomial, starting from (0.4 + 0.9j)^k for
 k = 1..n.  No deflation ever happens, so there is no error accumulation and
 each answer can be checked directly through its residual |p(z_i)|.
+
+A sweep ends the iteration when every estimate either has stopped moving
+(its step is below _TOL * (1 + |z_i|)) or sits at the rounding floor of p:
+|p(z_i)| <= 4 n 2^-52 sum_k |a_k| |z_i|^k, the bound on the rounding error
+of Horner evaluation in double precision (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., 5.1).  Below that floor the computed p(z_i)
+is noise, so further sweeps cannot improve the estimate; clustered and
+repeated roots reach it long before their steps fall below _TOL.
 """
 
 from __future__ import annotations
@@ -34,14 +42,22 @@ class HalfPlaneCounts:
 
 # relative step size below which an estimate counts as converged
 _TOL = 1e-13
+# per-degree rounding-error factor of complex Horner evaluation in doubles:
+# |p(z)| <= n * _HORNER_ROUNDING * sum |a_k| |z|^k is rounding noise
+_HORNER_ROUNDING = 4 * 2.0 ** -52
 
 
 def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
     """All complex roots of p, sorted by (re, im).
 
-    Convergence requires every per-iteration update to fall below
-    _TOL * (1 + |z|); when max_iter passes without that, the current
-    estimates are still returned with converged=False.
+    converged=True means that in the last sweep every estimate either moved
+    by less than _TOL * (1 + |z|) or sat at the rounding floor of p: each
+    is then an exact root of a polynomial whose coefficients differ from
+    p's by a few rounding errors (a backward-stable root set).  The flag
+    does not bound the forward error: near a multiple or tightly clustered
+    root an estimate can still lie far from the true root.  When max_iter
+    sweeps pass without that, the current estimates are still returned
+    with converged=False.
     """
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("root finding needs degree >= 1")
@@ -51,6 +67,8 @@ def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
 
     z = [(0.4 + 0.9j) ** k for k in range(1, n + 1)]
     descending = mono[::-1]
+    magnitudes = [abs(c) for c in descending]
+    floor = _HORNER_ROUNDING * n
     converged = False
     for _ in range(max_iter):
         done = True
@@ -76,7 +94,13 @@ def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
                 continue
             z[i] = nxt
             if done and abs(step) >= _TOL * (1.0 + abs(nxt)):
-                done = False
+                # still moving: passes only if p(zi) is rounding noise
+                r = abs(zi)
+                size = 0.0  # sum |a_k| |zi|^k, real Horner
+                for c in magnitudes:
+                    size = size * r + c
+                if abs(acc) > floor * size:
+                    done = False
         if done:
             converged = True
             break

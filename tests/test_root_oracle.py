@@ -6,9 +6,19 @@ import math
 
 import pytest
 
-from routhkit import (DegreeTooSmall, Polynomial, RootSet, find_roots,
+from routhkit import (DegreeTooSmall, Lcg64, Polynomial, RootSet, find_roots,
                       half_plane_counts)
-from routhkit.corpus import random_roots
+from routhkit.corpus import random_polynomial, random_roots
+
+
+@pytest.fixture(scope="module")
+def seed7_draws():
+    """(polynomial, constructed roots, oracle roots) for the first 1,000
+    corpus draws of seed 7: some cluster their roots tightly enough that no
+    step can fall below _TOL in double precision."""
+    rng = Lcg64(7)
+    draws = [random_polynomial(rng, 12) for _ in range(1000)]
+    return [(poly, roots, find_roots(poly)) for poly, roots in draws]
 
 
 class TestFindRoots:
@@ -83,6 +93,36 @@ class TestFindRoots:
             for want in roots:
                 best = min(range(len(pool)), key=lambda i: abs(pool[i] - want))
                 assert abs(pool.pop(best) - want) < 1e-6
+
+
+class TestRoundingFloor:
+    """An estimate whose residual is rounding noise has converged."""
+
+    def test_corpus_draws_converge(self, seed7_draws):
+        stuck = [str(poly) for poly, _, rs in seed7_draws if not rs.converged]
+        assert stuck == []
+
+    def test_corpus_draws_recover_roots_and_counts(self, seed7_draws):
+        for _, roots, rs in seed7_draws:
+            pool = list(rs.roots)
+            for want in roots:
+                best = min(range(len(pool)), key=lambda i: abs(pool[i] - want))
+                assert abs(pool.pop(best) - want) < 1e-9 * (1 + abs(want))
+            rhp = sum(1 for r in roots if r.real > 0)
+            assert half_plane_counts(rs).rhp == rhp
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_repeated_real_root_converges(self, k):
+        rs = find_roots(Polynomial.from_roots([-1] * k))
+        assert rs.converged
+        assert all(r.real < 0 and abs(r + 1) < 0.25 for r in rs.roots)
+        assert half_plane_counts(rs).lhp == k
+
+    def test_one_sweep_is_not_converged(self, seed7_draws):
+        # the floor rule must not pass estimates that are still far off
+        for poly, _, _ in seed7_draws:
+            if poly.degree >= 4:
+                assert not find_roots(poly, max_iter=1).converged
 
 
 class TestHalfPlaneCounts:
