@@ -9,7 +9,8 @@ changes, and the polynomial indeed has two roots with positive real part.
 """
 
 from routhkit import (Policy, PolicyUnsupported, Polynomial, build_array,
-                      count_sign_changes, find_roots, half_plane_counts)
+                      classify, count_sign_changes, find_roots,
+                      half_plane_counts)
 
 poly = Polynomial.parse("s^4 + 1")
 print(f"p(s) = {poly}\n")
@@ -39,3 +40,13 @@ print(f"\np(s) = {cubic} under single-eps:")
 for i, row in enumerate(array.rows):
     print(f"  s^{array.row_power(i)} | " + "  ".join(str(e) for e in row))
 print("  one sign change -> one unstable root (it is s = 3)")
+
+# A larger ZeroFirstElement case: 1 + s + ... + s^40, whose roots are the
+# 41st roots of unity other than 1 (20 of them in the RHP).  Its e entries
+# reach e-degree 36; each one is kept in lowest terms by an exact gcd.
+ones = Polynomial([1] * 41)
+report = classify(ones, Policy.EPSILON_ROW)
+print(f"\n1 + s + ... + s^40 under eps-row: {report.rhp_count} RHP roots, "
+      f"verdict {report.verdict.value}")
+print("  events:", ", ".join(f"{ev.kind.value}@s^{ev.row_power}"
+                              for ev in report.events))

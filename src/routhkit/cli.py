@@ -28,7 +28,7 @@ from .errors import RouthKitError
 from .polynomial import Polynomial
 from .routh import (OracleSummary, Policy, PolicyUnsupported, StabilityReport,
                     Verdict, classify)
-from .root_oracle import find_roots, half_plane_counts
+from .root_oracle import RootSet, find_roots, half_plane_counts
 from .sweep import run_sweep
 
 EXIT_STABLE = 0
@@ -201,18 +201,20 @@ def _compare_text(doc: dict, poly: Polynomial) -> str:
 
 def _cmd_compare(args):
     poly = Polynomial.parse(args.coeffs)
-    root_set = find_roots(poly) if poly.degree >= 1 else None
-    counts = half_plane_counts(root_set) if root_set else None
-    oracle_rhp = counts.rhp if counts else 0
-    rows = [_policy_row(poly, policy, oracle_rhp) for policy in _COMPARE_POLICIES]
+    root_set = (find_roots(poly) if poly.degree >= 1
+                else RootSet(roots=(), max_residual=0.0, converged=True))
+    counts = half_plane_counts(root_set)
+    rows = [_policy_row(poly, policy, counts.rhp) for policy in _COMPARE_POLICIES]
     doc = {
         "input": _input_doc(poly),
         "policies": rows,
         "oracle": {
-            "roots": _roots_doc(root_set.roots if root_set else ()),
-            "lhp": counts.lhp if counts else 0,
-            "rhp": oracle_rhp,
-            "axis": counts.axis if counts else 0,
+            "roots": _roots_doc(root_set.roots),
+            "lhp": counts.lhp,
+            "rhp": counts.rhp,
+            "axis": counts.axis,
+            "converged": root_set.converged,
+            "max_residual": _fmt(root_set.max_residual),
         },
         "version": __version__,
     }

@@ -235,20 +235,19 @@ def _canonicalize(num: EpsPoly, den: EpsPoly) -> tuple[EpsPoly, EpsPoly]:
     """Reduce a nonzero num/den pair to canonical form.
 
     The reduction runs on the integer coefficient lists: each is made
-    primitive, both are divided by their primitive gcd (exact integer
-    division, by Gauss's lemma), and the rational scale left over is folded
-    into the numerator so the denominator's lowest-order nonzero
-    coefficient is exactly 1.  Both results are in lowest terms: the gcd of
-    the integer coefficients is coprime to the shared denominator.
+    primitive and replaced by its cofactor of their primitive gcd (see
+    `_int_gcd`; exact integer division, by Gauss's lemma), and the rational
+    scale left over is folded into the numerator so the denominator's
+    lowest-order nonzero coefficient is exactly 1.  Both results are in
+    lowest terms: the gcd of the integer coefficients is coprime to the
+    shared denominator.  The sign of the gcd cancels in the scale, so the
+    result does not depend on which gcd routine found it.
     """
     cn, cd = _content(num._ints), _content(den._ints)
     na = [c // cn for c in num._ints]
     da = [c // cd for c in den._ints]
     if len(na) > 1 and len(da) > 1:
-        g = _int_gcd(na, da)
-        if len(g) > 1:
-            na = _int_div_exact(na, g)
-            da = _int_div_exact(da, g)
+        _, na, da = _int_gcd(na, da)
     low = next(c for c in da if c)
     # num/den = scale * na / (da/low); the contents and denominators go
     # into scale
@@ -276,8 +275,65 @@ def _primitive(coeffs: list[int]) -> list[int]:
     return coeffs if g == 1 else [c // g for c in coeffs]
 
 
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of two primitive integer polynomials."""
+# GCDHEU tries this many evaluation points before the PRS takes over, each
+# the last one times 73794/27011 (about 1 + sqrt 3)
+_HEU_TRIES = 6
+_HEU_GROWTH = (73794, 27011)
+
+
+def _int_gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Primitive gcd g of two primitive integer polynomials, with the
+    cofactors a/g and b/g.
+
+    The heuristic gcd of Char, Geddes & Gonnet (GCDHEU, J. Symbolic Comput.
+    7, 1989) runs first: it evaluates a and b at an integer xi, takes one
+    integer gcd h and reads g back from the balanced base-xi digits of h.
+    Starting at xi = 2*min(|a|_inf, |b|_inf) + 29 puts xi above twice the
+    modulus of every root of the input with the smaller norm (Cauchy's
+    bound), hence of every common factor.  The candidate is then exact as
+    soon as it divides both inputs (Geddes, Czapor & Labahn, Algorithms for
+    Computer Algebra, sec. 7.7): it divides the true gcd G, G(xi) divides
+    h = content * g(xi), so the quotient c = G/g has |c(xi)| <= content <=
+    xi/2, while a nonconstant c would have |c(xi)| > xi/2.  A constant
+    candidate therefore means the gcd is 1.  A candidate that fails the
+    division check only costs a retry at a larger xi; after `_HEU_TRIES`
+    of them the primitive PRS decides.
+    """
+    found = _heu_gcd(a, b)
+    if found is not None:
+        return found
+    g = _prs_gcd(a, b)
+    return g, _int_div_exact(a, g), _int_div_exact(b, g)
+
+
+def _heu_gcd(a: list[int], b: list[int]
+             ) -> tuple[list[int], list[int], list[int]] | None:
+    """(g, a/g, b/g) by GCDHEU, or None when every evaluation point failed."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_TRIES):
+        h = gcd(_int_eval(a, xi), _int_eval(b, xi))
+        g = []
+        while h:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            g.append(d)
+            h = (h - d) // xi
+        g = _primitive(g)
+        if len(g) == 1:
+            return [1], a, b
+        qa = _int_div(a, g)
+        if qa is not None:
+            qb = _int_div(b, g)
+            if qb is not None:
+                return g, qa, qb
+        xi = xi * _HEU_GROWTH[0] // _HEU_GROWTH[1]
+    return None
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two primitive integer polynomials by the primitive
+    pseudo-remainder sequence."""
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -285,22 +341,36 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _int_div_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (b divides a over Q and, being
-    primitive, over Z)."""
-    da, db = len(a) - 1, len(b) - 1
+def _int_eval(coeffs: list[int], x: int) -> int:
+    """Value at an integer point, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _int_div(a: list[int], b: list[int]) -> list[int] | None:
+    """Quotient of integer polynomials when b divides a over Z, else None."""
+    db = len(b) - 1
     rem = list(a)
     lead = b[-1]
-    q = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
         c, r = divmod(rem[k + db], lead)
         if r:
-            raise ArithmeticError("non-exact polynomial division")
+            return None
         if c:
             q[k] = c
             for j in range(db + 1):
                 rem[k + j] -= c * b[j]
-    if any(rem):
+    return None if any(rem) else q
+
+
+def _int_div_exact(a: list[int], b: list[int]) -> list[int]:
+    """Exact quotient of integer polynomials (b divides a over Q and, being
+    primitive, over Z); raises ArithmeticError otherwise."""
+    q = _int_div(a, b)
+    if q is None:
         raise ArithmeticError("non-exact polynomial division")
     return q
 

@@ -154,6 +154,27 @@ class TestCompare:
         assert err.startswith("routhkit: internal error: ZeroDivisionError")
         assert err.count("\n") == 1
 
+    def test_json_oracle_block_matches_analyze(self, capsys):
+        code, out, _ = run_cli(capsys, "compare", "--coeffs", "1,4,6,4,1",
+                               "--json")
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        _, out, _ = run_cli(capsys, "analyze", "--coeffs", "1,4,6,4,1",
+                            "--oracle", "--json")
+        analyzed = json.loads(out)["oracle"]
+        assert oracle["converged"] is True
+        assert oracle["max_residual"] == analyzed["max_residual"]
+        assert float(oracle["max_residual"]) < 1e-12
+
+    def test_json_oracle_block_degree_zero(self, capsys):
+        _, out, _ = run_cli(capsys, "compare", "--coeffs", "5", "--json")
+        oracle = json.loads(out)["oracle"]
+        _, out, _ = run_cli(capsys, "analyze", "--coeffs", "5", "--oracle",
+                            "--json")
+        analyzed = json.loads(out)["oracle"]
+        assert (oracle["converged"], oracle["max_residual"]) == (True, "0")
+        assert oracle["max_residual"] == analyzed["max_residual"]
+
     def test_table_mentions_unsupported(self, capsys):
         _, out, _ = run_cli(capsys, "compare", "--coeffs", "1,0,0,0,1")
         assert "PolicyUnsupported" in out

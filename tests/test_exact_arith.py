@@ -5,11 +5,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routhkit import EPSILON, POLE_AT_ZERO, EpsPoly, EpsRat, Rational
-from conftest import random_eps_rat
+from routhkit import (EPSILON, POLE_AT_ZERO, EpsPoly, EpsRat, Policy,
+                      PolicyUnsupported, Rational, build_array)
+from routhkit import exact_arith
+from routhkit.exact_arith import _int_gcd, _primitive, _prs_gcd
+from conftest import ladder_families, random_eps_rat
 
 ONE = EpsRat.from_rational(1)
 ZERO = EpsRat.from_rational(0)
@@ -235,3 +238,61 @@ class TestEpsPoly:
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.is_zero or r.degree < b.degree
+
+
+def int_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# integer polynomials of degree <= 6, coefficients up to 2^64 in size
+int_polys = (st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=1, max_size=7)
+             .filter(lambda cs: cs[-1] != 0))
+
+
+class TestIntGcd:
+    """`_int_gcd` (GCDHEU with the PRS as fallback) on primitive integer
+    polynomials with a drawn common factor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(int_polys, int_polys, int_polys)
+    def test_gcd_and_cofactors(self, f, g, c):
+        a, b = _primitive(int_mul(f, c)), _primitive(int_mul(g, c))
+        d, qa, qb = _int_gcd(a, b)
+        assert int_mul(d, qa) == a
+        assert int_mul(d, qb) == b
+        prs = _prs_gcd(a, b)
+        assert d in (prs, [-x for x in prs])
+
+    def test_known_gcd(self):
+        a = [-2, -1, 1]                          # (x + 1)(x - 2)
+        b = [3, 4, 1]                            # (x + 1)(x + 3)
+        assert _int_gcd(a, b) == ([1, 1], [-2, 1], [3, 1])
+        assert _int_gcd([1, 1], [1, 0, 1]) == ([1], [1, 1], [1, 0, 1])
+
+    def test_candidate_dividing_one_input_is_retried(self, monkeypatch):
+        # x - 31 vanishes at the first point xi = 31, so the candidate read
+        # from h = 32 is x + 1, which divides x + 1 only; xi = 84 gives 1
+        assert _int_gcd([1, 1], [-31, 1]) == ([1], [1, 1], [-31, 1])
+        assert _int_gcd([-31, 1], [1, 1]) == ([1], [-31, 1], [1, 1])
+        monkeypatch.setattr(exact_arith, "_HEU_TRIES", 1)
+        assert exact_arith._heu_gcd([1, 1], [-31, 1]) is None
+        assert _int_gcd([1, 1], [-31, 1]) == ([1], [1, 1], [-31, 1])
+
+    def test_prs_fallback_gives_same_canonical_forms(self, monkeypatch):
+        def rows(p, policy):
+            try:
+                array = build_array(p, policy)
+            except PolicyUnsupported:
+                return None
+            return [[(e.num, e.den) for e in row] for row in array.rows]
+
+        cases = [(p, policy) for p in ladder_families()
+                 for policy in (Policy.EPSILON_ROW, Policy.DERIVATIVE_ROW,
+                                Policy.SINGLE_EPSILON)]
+        heuristic = [rows(p, policy) for p, policy in cases]
+        monkeypatch.setattr(exact_arith, "_heu_gcd", lambda a, b: None)
+        assert [rows(p, policy) for p, policy in cases] == heuristic

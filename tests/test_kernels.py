@@ -7,6 +7,7 @@ what the textbook formulas give over EpsRat and Fraction.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from routhkit import EpsRat, Lcg64, Policy, PolicyUnsupported, Polynomial, build_array
 from routhkit.corpus import random_polynomial, random_roots
 from routhkit.routh import _remediate
+from routhkit import exact_arith
+from conftest import ladder_families
 
 POLICIES = (Policy.SINGLE_EPSILON, Policy.EPSILON_ROW, Policy.DERIVATIVE_ROW)
 
@@ -134,3 +137,60 @@ class TestFromRootsKernel:
     def test_rounding_kicks_in(self):
         # 1/3 is not a binary fraction: its float is rounded back to 1/3
         assert Polynomial.from_roots([1 / 3]) == Polynomial([Fraction(-1, 3), 1])
+
+
+def rows_digest(p: Polynomial, policy: Policy) -> str:
+    """sha256 of the rendered rows and events of p's array."""
+    array = build_array(p, policy)
+    lines = ["|".join(str(e) for e in row) for row in array.rows]
+    lines += [f"{ev.kind.value}@{ev.row_power}: {ev.remedy}" for ev in array.events]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# computed with the primitive-PRS reduction alone, before GCDHEU took over;
+# all-ones of even degree raises only ZeroFirstElement events, so eps-row
+# and derivative build the same array
+ONES_DIGESTS = {
+    24: "b51490f42d1842ce615243e56d3735bea8681815ae4ea89a3e2943eeac19eb35",
+    32: "a30d9f4260b8e79b36c89e23622148a5b740025f3a58ee4a1d8df674fff9e13c",
+    40: "34ef5694d1e5a14805fad3f43456e1d72ceeb6d592bf2d274678bed3fe02daa1",
+}
+
+
+class TestGcdKernel:
+    """Q(e) reduction by GCDHEU: same renderings as the PRS, and the PRS
+    fallback is never needed on the benchmark's inputs."""
+
+    @pytest.mark.parametrize("n", sorted(ONES_DIGESTS))
+    @pytest.mark.parametrize("policy", [Policy.EPSILON_ROW, Policy.DERIVATIVE_ROW],
+                             ids=lambda policy: policy.value)
+    def test_all_ones_digest(self, n, policy):
+        assert rows_digest(Polynomial([1] * (n + 1)), policy) == ONES_DIGESTS[n]
+
+    def test_no_prs_fallback(self, monkeypatch):
+        calls = {"gcd": 0, "prs": 0}
+
+        def counting(name, fn):
+            def wrapped(a, b):
+                calls[name] += 1
+                return fn(a, b)
+            return wrapped
+
+        monkeypatch.setattr(exact_arith, "_int_gcd",
+                            counting("gcd", exact_arith._int_gcd))
+        monkeypatch.setattr(exact_arith, "_prs_gcd",
+                            counting("prs", exact_arith._prs_gcd))
+        rng = Lcg64(7)
+        for _ in range(1000):
+            p, _ = random_polynomial(rng, 12)
+            build_array(p, Policy.AUTO)
+        for p in ladder_families():
+            for policy in POLICIES:
+                try:
+                    build_array(p, policy)
+                except PolicyUnsupported:
+                    pass
+        for n in range(1, 49):
+            build_array(Polynomial([1] * (n + 1)), Policy.EPSILON_ROW)
+        assert calls["gcd"] > 10000
+        assert calls["prs"] == 0
