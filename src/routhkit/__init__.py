@@ -9,8 +9,9 @@ root solver provide two independent cross-checks.
 """
 
 from .errors import (DegreeTooSmall, EmptyPolynomial, EpsContaminatedRow,
-                     MultipleParameters, NoParameter, OriginRoot, ParseError,
-                     PolicyUnsupported, RouthKitError, UnpairedComplexRoot)
+                     MultipleParameters, NoParameter, OracleUnavailable,
+                     OriginRoot, ParseError, PolicyUnsupported, RouthKitError,
+                     UnpairedComplexRoot)
 from .exact_arith import (EPSILON, POLE_AT_ZERO, EpsPoly, EpsRat, PoleAtZero,
                           Rational)
 from .polynomial import Polynomial
@@ -40,6 +41,6 @@ __all__ = [
     "SweepResult", "run_sweep",
     "RouthKitError", "ParseError", "EmptyPolynomial", "UnpairedComplexRoot",
     "DegreeTooSmall", "OriginRoot", "PolicyUnsupported", "EpsContaminatedRow",
-    "NoParameter", "MultipleParameters",
+    "NoParameter", "MultipleParameters", "OracleUnavailable",
     "__version__",
 ]

@@ -27,8 +27,7 @@ from .corpus import CorpusSummary, run_corpus
 from .errors import RouthKitError
 from .polynomial import Polynomial
 from .routh import (OracleSummary, Policy, PolicyUnsupported, StabilityReport,
-                    Verdict, classify)
-from .root_oracle import RootSet, find_roots, half_plane_counts
+                    Verdict, classify, oracle_summary)
 from .sweep import run_sweep
 
 EXIT_STABLE = 0
@@ -86,6 +85,8 @@ def _root_text(root: dict) -> str:
 def _oracle_doc(oracle: OracleSummary | None):
     if oracle is None:
         return None
+    if oracle.unavailable is not None:
+        return {"unavailable": oracle.unavailable}
     rs, counts = oracle.root_set, oracle.counts
     return {
         "roots": _roots_doc(rs.roots),
@@ -135,7 +136,9 @@ def _analysis_text(doc: dict, poly: Polynomial) -> str:
     lines.append(f"rhp roots: {doc['rhp_count']}")
     lines.append(f"verdict: {doc['verdict']}")
     oracle = doc["oracle"]
-    if oracle is not None:
+    if oracle is not None and "unavailable" in oracle:
+        lines.append(f"oracle: unavailable ({oracle['unavailable']})")
+    elif oracle is not None:
         lines.append("oracle:")
         lines.append(f"  roots: {', '.join(_root_text(r) for r in oracle['roots'])}")
         lines.append(f"  counts: lhp={oracle['lhp']} rhp={oracle['rhp']} axis={oracle['axis']}")
@@ -152,7 +155,7 @@ def _cmd_analyze(args):
     return doc, lambda: _analysis_text(doc, poly), _VERDICT_EXIT[report.verdict]
 
 
-def _policy_row(poly: Polynomial, policy: Policy, oracle_rhp: int) -> dict:
+def _policy_row(poly: Polynomial, policy: Policy, oracle_rhp: int | None) -> dict:
     try:
         report = classify(poly, policy)
     except PolicyUnsupported as exc:
@@ -173,7 +176,8 @@ def _policy_row(poly: Polynomial, policy: Policy, oracle_rhp: int) -> dict:
         "rhp_count": report.rhp_count,
         "verdict": report.verdict.value,
         "events": _events_doc(report.events),
-        "agrees_with_oracle": report.rhp_count == oracle_rhp,
+        "agrees_with_oracle": (None if oracle_rhp is None
+                               else report.rhp_count == oracle_rhp),
     }
 
 
@@ -186,7 +190,7 @@ def _compare_text(doc: dict, poly: Polynomial) -> str:
             events = ",".join(f"{e['kind']}@s^{e['row_power']}"
                               if e["row_power"] is not None else e["kind"]
                               for e in row["events"]) or "-"
-            agrees = "yes" if row["agrees_with_oracle"] else "NO"
+            agrees = {True: "yes", False: "NO", None: "-"}[row["agrees_with_oracle"]]
             lines.append(f"{row['policy']:<12} {row['sign_changes']:>12} "
                          f"{row['rhp_count']:>4}  {row['verdict']:<20} "
                          f"{agrees:>7}  {events}")
@@ -194,31 +198,30 @@ def _compare_text(doc: dict, poly: Polynomial) -> str:
             lines.append(f"{row['policy']:<12} {'-':>12} {'-':>4}  "
                          f"{row['verdict']:<20} {'-':>7}  PolicyUnsupported")
     oracle = doc["oracle"]
-    lines.append(f"{'oracle':<12} {'-':>12} {oracle['rhp']:>4}  "
-                 f"lhp={oracle['lhp']} axis={oracle['axis']}")
+    if "unavailable" in oracle:
+        lines.append(f"{'oracle':<12} {'-':>12} {'-':>4}  "
+                     f"unavailable: {oracle['unavailable']}")
+    else:
+        lines.append(f"{'oracle':<12} {'-':>12} {oracle['rhp']:>4}  "
+                     f"lhp={oracle['lhp']} axis={oracle['axis']}")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_compare(args):
     poly = Polynomial.parse(args.coeffs)
-    root_set = (find_roots(poly) if poly.degree >= 1
-                else RootSet(roots=(), max_residual=0.0, converged=True))
-    counts = half_plane_counts(root_set)
-    rows = [_policy_row(poly, policy, counts.rhp) for policy in _COMPARE_POLICIES]
+    oracle = oracle_summary(poly)
+    oracle_rhp = None if oracle.unavailable else oracle.counts.rhp
+    rows = [_policy_row(poly, policy, oracle_rhp) for policy in _COMPARE_POLICIES]
+    oracle_doc = _oracle_doc(oracle)
+    oracle_doc.pop("agreement", None)   # each policy row carries its own
     doc = {
         "input": _input_doc(poly),
         "policies": rows,
-        "oracle": {
-            "roots": _roots_doc(root_set.roots),
-            "lhp": counts.lhp,
-            "rhp": counts.rhp,
-            "axis": counts.axis,
-            "converged": root_set.converged,
-            "max_residual": _fmt(root_set.max_residual),
-        },
+        "oracle": oracle_doc,
         "version": __version__,
     }
-    code = 0 if all(r["agrees_with_oracle"] for r in rows if r["supported"]) else 1
+    # an unavailable oracle leaves nothing to disagree with
+    code = 1 if any(r["agrees_with_oracle"] is False for r in rows) else 0
     return doc, lambda: _compare_text(doc, poly), code
 
 

@@ -35,6 +35,11 @@ class EpsContaminatedRow(PolicyUnsupported):
     contains the infinitesimal, so its real coefficients are undefined."""
 
 
+class OracleUnavailable(RouthKitError):
+    """The float root oracle cannot run on this polynomial: its monic
+    coefficients leave the range of a double."""
+
+
 class NoParameter(RouthKitError, ValueError):
     """Sweep input contains no `K` placeholder."""
 

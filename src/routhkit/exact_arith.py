@@ -349,6 +349,17 @@ def _int_eval(coeffs: list[int], x: int) -> int:
     return acc
 
 
+def _int_eval_homogeneous(coeffs: list[int], n: int, d: int) -> int:
+    """d^deg * p(n/d), that is sum c_j n^j d^(deg - j), by Horner's rule in
+    integers.  For d > 0 its sign is the sign of p at the rational n/d."""
+    acc = 0
+    dk = 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
 def _int_div(a: list[int], b: list[int]) -> list[int] | None:
     """Quotient of integer polynomials when b divides a over Z, else None."""
     db = len(b) - 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
-from .errors import DegreeTooSmall
+from .errors import DegreeTooSmall, OracleUnavailable
 from .polynomial import Polynomial
 
 
@@ -57,12 +57,18 @@ def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
     does not bound the forward error: near a multiple or tightly clustered
     root an estimate can still lie far from the true root.  When max_iter
     sweeps pass without that, the current estimates are still returned
-    with converged=False.
+    with converged=False.  Raises OracleUnavailable when the monic float
+    coefficients cannot be formed.
     """
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("root finding needs degree >= 1")
-    lead = float(p.leading_coefficient)
-    mono = [float(c) / lead for c in p.coeffs]
+    try:
+        lead = float(p.leading_coefficient)
+        mono = [float(c) / lead for c in p.coeffs]
+    except (OverflowError, ZeroDivisionError):
+        mono = None
+    if mono is None or not all(map(isfinite, mono)):
+        raise OracleUnavailable("the monic coefficients leave the float range")
     n = p.degree
 
     z = [(0.4 + 0.9j) ** k for k in range(1, n + 1)]

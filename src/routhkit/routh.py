@@ -39,7 +39,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegreeTooSmall, EpsContaminatedRow, OriginRoot, PolicyUnsupported
+from .errors import (DegreeTooSmall, EpsContaminatedRow, OracleUnavailable,
+                     OriginRoot, PolicyUnsupported)
 from .exact_arith import EPSILON, EpsRat
 from .polynomial import Polynomial
 from .root_oracle import HalfPlaneCounts, RootSet, find_roots, half_plane_counts
@@ -98,11 +99,16 @@ class RouthArray:
 
 @dataclass(frozen=True)
 class OracleSummary:
-    """Independent numeric cross-check attached to a report."""
+    """Independent numeric cross-check attached to a report.
 
-    root_set: RootSet
-    counts: HalfPlaneCounts
-    agreement: bool
+    When the float oracle cannot run on the polynomial, `unavailable` holds
+    the reason and the other fields are None.
+    """
+
+    root_set: Optional[RootSet]
+    counts: Optional[HalfPlaneCounts]
+    agreement: Optional[bool]
+    unavailable: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -160,13 +166,7 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
         if power == n - 1:
             row = [p.coeff(n - 1 - 2 * j) for j in range(power // 2 + 1)]
         else:
-            # the cross-multiplication rule; an entry past the end of the row
-            # above reads as zero, which leaves r2 unchanged
-            above2, above = rows[-2], rows[-1]
-            head, pivot = above2[0], above[0]
-            row = [(pivot * r2 - head * r1) / pivot
-                   for r2, r1 in zip(above2[1:], above[1:])]
-            row += above2[len(above):]
+            row = cross_multiply(rows[-2], rows[-1])
         _remediate(row, power, rows[-1], policy, events)
         rows.append(row)
 
@@ -176,6 +176,18 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
                        policy=policy)
     assert all(r[0].sign() != 0 for r in array.rows)
     return array
+
+
+def cross_multiply(above2: Sequence, above: Sequence) -> list:
+    """The row that follows `above2` and `above` by the cross-multiplication
+    rule, using only field arithmetic.  An entry past the end of `above`
+    reads as zero, which leaves the entry of `above2` unchanged; the row
+    after the s^0 row comes out empty."""
+    head, pivot = above2[0], above[0]
+    row = [(pivot * r2 - head * r1) / pivot
+           for r2, r1 in zip(above2[1:], above[1:])]
+    row += above2[len(above):]
+    return row
 
 
 def _lift(row) -> tuple[EpsRat, ...]:
@@ -256,21 +268,26 @@ def classify(p: Polynomial, policy: Policy = Policy.AUTO,
     else:
         verdict = Verdict.STABLE
 
-    oracle = None
-    if with_oracle:
-        if p.degree >= 1:
-            root_set = find_roots(p)
-            counts = half_plane_counts(root_set)
-        else:
-            root_set = RootSet(roots=(), max_residual=0.0, converged=True)
-            counts = HalfPlaneCounts(lhp=0, rhp=0, axis=0)
-        oracle = OracleSummary(root_set=root_set, counts=counts,
-                               agreement=(counts.rhp == changes))
-
     return StabilityReport(first_column_signs=signs,
                            sign_changes=changes,
                            rhp_count=changes,
                            verdict=verdict,
                            events=all_events,
-                           oracle_check=oracle,
+                           oracle_check=(oracle_summary(p, changes)
+                                         if with_oracle else None),
                            array=array)
+
+
+def oracle_summary(p: Polynomial, rhp_count: Optional[int] = None) -> OracleSummary:
+    """The float root oracle's view of p.  `agreement` says whether its RHP
+    count equals `rhp_count`; it is None when no count is given or when the
+    oracle is unavailable."""
+    try:
+        root_set = (find_roots(p) if p.degree >= 1
+                    else RootSet(roots=(), max_residual=0.0, converged=True))
+    except OracleUnavailable as exc:
+        return OracleSummary(root_set=None, counts=None, agreement=None,
+                             unavailable=str(exc))
+    counts = half_plane_counts(root_set)
+    agreement = None if rhp_count is None else counts.rhp == rhp_count
+    return OracleSummary(root_set=root_set, counts=counts, agreement=agreement)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from routhkit import __version__
+from routhkit import __version__, cli
 from routhkit.cli import main, render_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -68,25 +68,39 @@ class TestAnalyze:
         assert code == 65
         assert "error" in err
 
-    def test_crash_is_internal_error_not_unstable(self, capsys):
-        # the oracle overflows converting 1e400 to a float: a defect, which
-        # must not exit 1 (Unstable) or print a traceback
-        code, out, err = run_cli(capsys, "analyze", "--coeffs", "1,1e400,1",
-                                 "--oracle")
+    def test_crash_is_internal_error_not_unstable(self, capsys, monkeypatch):
+        # a defect must not exit 1 (Unstable) or print a traceback
+        def crash(*args, **kwargs):
+            raise OverflowError("int too large to convert to float")
+        monkeypatch.setattr(cli, "classify", crash)
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", "1,1,1")
         assert code == 70
         assert out == ""
         assert err.startswith("routhkit: internal error: OverflowError")
         assert err.count("\n") == 1
 
-    def test_oracle_underflow_is_internal_error(self, capsys):
-        # 1e-400 underflows to 0.0 and the oracle divides by it: a defect,
-        # like the 1e400 overflow, not bad input
+    def test_oracle_overflow_keeps_exact_verdict(self, capsys):
+        # 1e400 has no float: the oracle is unavailable, the verdict stands
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", "1,1e400,1",
+                                 "--oracle")
+        assert (code, err) == (0, "")
+        assert "verdict: Stable\n" in out
+        assert out.endswith("oracle: unavailable "
+                            "(the monic coefficients leave the float range)\n")
+        code, out, _ = run_cli(capsys, "analyze", "--coeffs", "1,1e400,1",
+                               "--oracle", "--json")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (0, "Stable")
+        assert doc["oracle"] == {
+            "unavailable": "the monic coefficients leave the float range"}
+
+    def test_oracle_underflow_keeps_exact_verdict(self, capsys):
+        # 1e-400 underflows to 0.0, and the monic division would divide by it
         code, out, err = run_cli(capsys, "analyze", "--coeffs", "1e-400,1,1",
                                  "--oracle")
-        assert code == 70
-        assert out == ""
-        assert err.startswith("routhkit: internal error: ZeroDivisionError")
-        assert err.count("\n") == 1
+        assert (code, err) == (0, "")
+        assert "verdict: Stable\n" in out
+        assert "oracle: unavailable" in out
 
     def test_zero_denominator_in_term_form_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--coeffs", "1/0*s + 1")
@@ -147,12 +161,21 @@ class TestCompare:
         assert code == 0
         assert out.count("Unstable") == 3
 
-    def test_oracle_underflow_is_internal_error(self, capsys):
+    def test_oracle_underflow_leaves_agreement_open(self, capsys):
+        # with no oracle nothing can disagree: every row reads "-" and exit 0
         code, out, err = run_cli(capsys, "compare", "--coeffs", "1e-400,1,1")
-        assert code == 70
-        assert out == ""
-        assert err.startswith("routhkit: internal error: ZeroDivisionError")
-        assert err.count("\n") == 1
+        assert (code, err) == (0, "")
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [r[:5] for r in rows[:3]] == [
+            [policy, "0", "0", "Stable", "-"]
+            for policy in ("single-eps", "eps-row", "derivative")]
+        assert rows[3][:4] == ["oracle", "-", "-", "unavailable:"]
+        code, out, _ = run_cli(capsys, "compare", "--coeffs", "1e-400,1,1",
+                               "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert [r["agrees_with_oracle"] for r in doc["policies"]] == [None] * 3
+        assert list(doc["oracle"]) == ["unavailable"]
 
     def test_json_oracle_block_matches_analyze(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--coeffs", "1,4,6,4,1",

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from routhkit import (EPSILON, POLE_AT_ZERO, EpsPoly, EpsRat, Policy,
                       PolicyUnsupported, Rational, build_array)
 from routhkit import exact_arith
-from routhkit.exact_arith import _int_gcd, _primitive, _prs_gcd
+from routhkit.exact_arith import (_int_eval_homogeneous, _int_gcd, _primitive,
+                                  _prs_gcd)
 from conftest import ladder_families, random_eps_rat
 
 ONE = EpsRat.from_rational(1)
@@ -296,3 +297,11 @@ class TestIntGcd:
         heuristic = [rows(p, policy) for p, policy in cases]
         monkeypatch.setattr(exact_arith, "_heu_gcd", lambda a, b: None)
         assert [rows(p, policy) for p, policy in cases] == heuristic
+
+
+class TestIntEvalHomogeneous:
+    @given(int_polys, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+    def test_is_scaled_value_at_fraction(self, coeffs, n, d):
+        value = sum(Fraction(c) * Fraction(n, d) ** j for j, c in enumerate(coeffs))
+        got = _int_eval_homogeneous(coeffs, n, d)
+        assert got == value * d ** (len(coeffs) - 1)

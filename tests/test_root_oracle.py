@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from routhkit import (DegreeTooSmall, Lcg64, Polynomial, RootSet, find_roots,
+from routhkit import (DegreeTooSmall, Lcg64, OracleUnavailable, Policy,
+                      Polynomial, RootSet, classify, find_roots,
                       half_plane_counts)
 from routhkit.corpus import random_polynomial, random_roots
 
@@ -54,6 +55,21 @@ class TestFindRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(DegreeTooSmall):
             find_roots(Polynomial([3]))
+
+    @pytest.mark.parametrize("coeffs", [
+        "1,1e400,1",    # a coefficient has no float
+        "1e-400,1,1",   # the leading coefficient underflows to 0.0
+        "1e-310,1,1",   # a subnormal leading coefficient: 1/lead is inf
+    ])
+    def test_out_of_float_range_is_unavailable(self, coeffs):
+        poly = Polynomial.parse(coeffs)
+        with pytest.raises(OracleUnavailable):
+            find_roots(poly)
+        report = classify(poly, Policy.AUTO, with_oracle=True)
+        assert report.verdict.value == "Stable"
+        oracle = report.oracle_check
+        assert oracle.unavailable == "the monic coefficients leave the float range"
+        assert oracle.root_set is oracle.counts is oracle.agreement is None
 
     def test_residual_bound_on_corpus(self, rng):
         for _ in range(50):
