@@ -10,6 +10,11 @@ integer-scaled copy of the matrix: after step k the (k, k) entry equals the
 (k+1)-th leading minor, and every intermediate division is exact (checked).
 A zero pivot stops the shared pass, in which case the remaining minors are
 computed as independent exact determinants with row pivoting.
+
+`hurwitz_stable` never builds the Fraction matrix: the polynomial already
+holds integer coefficients over one positive denominator d (`_ints` over
+`_denom`), so d times the Hurwitz matrix is an integer matrix, and the k-th
+leading minor is its integer minor over d^k.
 """
 
 from __future__ import annotations
@@ -35,18 +40,21 @@ class HurwitzDecision:
 
 
 def hurwitz_matrix(p: Polynomial) -> ExactMatrix:
+    rows = _integer_matrix(p)
+    d = p._denom
+    return ExactMatrix(n=len(rows), entries=tuple(
+        tuple(Fraction(x, d) for x in row) for row in rows))
+
+
+def _integer_matrix(p: Polynomial) -> list[list[int]]:
+    """The Hurwitz matrix of p times p's denominator, over the integers."""
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("Hurwitz matrix needs degree >= 1")
-    if p.leading_coefficient < 0:
+    if p._ints[-1] < 0:
         raise ValueError("leading coefficient must be positive; normalize first")
-    n = p.degree
-    cs = p.coeffs
-    zero = Fraction(0)
-    rows = tuple(
-        tuple(cs[k] if 0 <= k <= n else zero
-              for k in range(n - 1 + i, -n - 1 + i, -2))
-        for i in range(n))
-    return ExactMatrix(n=n, entries=rows)
+    n, a = p.degree, p._ints
+    return [[a[k] if 0 <= k <= n else 0 for k in range(n - 1 + i, -n - 1 + i, -2)]
+            for i in range(n)]
 
 
 def leading_minors(m: ExactMatrix) -> tuple[Fraction, ...]:
@@ -57,25 +65,27 @@ def leading_minors(m: ExactMatrix) -> tuple[Fraction, ...]:
         mult = lcm(*(c.denominator for c in row))
         scales.append(mult)
         work.append([c.numerator * (mult // c.denominator) for c in row])
-
-    ints = _bareiss_leading_minors(work)
-
-    minors = []
-    acc = 1
-    for k in range(m.n):
-        acc *= scales[k]
-        minors.append(Fraction(ints[k], acc))
-    return tuple(minors)
+    return _scaled_minors(work, scales)
 
 
 def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
     """Stable iff every leading principal minor is positive."""
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("stability test needs degree >= 1")
-    if not p.constant_term:
+    if not p._ints[0]:
         raise OriginRoot("constant term is zero; strip origin roots first")
-    minors = leading_minors(hurwitz_matrix(p))
+    minors = _scaled_minors(_integer_matrix(p), [p._denom] * p.degree)
     return HurwitzDecision(stable=all(v > 0 for v in minors), minors=minors)
+
+
+def _scaled_minors(work: list[list[int]], scales: list[int]) -> tuple[Fraction, ...]:
+    """Leading minors of the matrix whose row i is work[i] / scales[i]."""
+    minors = []
+    acc = 1
+    for m, scale in zip(_bareiss_leading_minors(work), scales):
+        acc *= scale
+        minors.append(Fraction(m, acc))
+    return tuple(minors)
 
 
 def _bareiss_leading_minors(a: list[list[int]]) -> list[int]:

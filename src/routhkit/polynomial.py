@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import EmptyPolynomial, ParseError, UnpairedComplexRoot
@@ -67,8 +68,9 @@ class Polynomial(_DensePoly):
         Real and paired factors are expanded exactly, as integer polynomials
         over one common denominator (float components are exact binary
         rationals), then each coefficient is rounded to the nearest fraction
-        with denominator <= 10**6; the rounding is the identity whenever the
-        exact denominators already fit.
+        with denominator <= 10**6.  When the reduced common denominator
+        already fits, the rounding is the identity, and the product is
+        returned in integer form without it.
         A float expansion cross-checks that imaginary residue stays below
         1e-9 relative to the largest coefficient.
         """
@@ -113,6 +115,9 @@ class Polynomial(_DensePoly):
             raise UnpairedComplexRoot(
                 f"imaginary residue {residue:.3e} exceeds tolerance after pairing")
 
+        g = gcd(product._denom, *product._ints)
+        if product._denom // g <= 10 ** 6:
+            return cls._raw([c // g for c in product._ints], product._denom // g)
         return cls([c.limit_denominator(10 ** 6) for c in product.coeffs])
 
     # -- accessors ------------------------------------------------------------

@@ -58,17 +58,11 @@ def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
     root an estimate can still lie far from the true root.  When max_iter
     sweeps pass without that, the current estimates are still returned
     with converged=False.  Raises OracleUnavailable when the monic float
-    coefficients cannot be formed.
+    coefficients cannot be formed, a nonzero one underflowing to 0.0 too.
     """
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("root finding needs degree >= 1")
-    try:
-        lead = float(p.leading_coefficient)
-        mono = [float(c) / lead for c in p.coeffs]
-    except (OverflowError, ZeroDivisionError):
-        mono = None
-    if mono is None or not all(map(isfinite, mono)):
-        raise OracleUnavailable("the monic coefficients leave the float range")
+    mono = _monic_floats(p)
     n = p.degree
 
     z = [(0.4 + 0.9j) ** k for k in range(1, n + 1)]
@@ -114,6 +108,25 @@ def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
     roots = tuple(sorted(z, key=lambda c: (c.real, c.imag)))
     max_residual = max(abs(_horner(mono, r)) for r in roots)
     return RootSet(roots=roots, max_residual=max_residual, converged=converged)
+
+
+def _monic_floats(p: Polynomial) -> list[float]:
+    """p's coefficients over its leading one, in doubles, ascending.
+
+    Int / int division rounds correctly, so c / d is float(Fraction(c, d))
+    and no Fraction is built.  Raises OracleUnavailable when a quotient
+    overflows or a nonzero coefficient underflows to 0.0.
+    """
+    ints, d = p._ints, p._denom
+    try:
+        lead = ints[-1] / d
+        mono = [(c / d) / lead for c in ints]
+    except (OverflowError, ZeroDivisionError):
+        mono = None
+    if (mono is None or not all(map(isfinite, mono))
+            or any(c and not m for c, m in zip(ints, mono))):
+        raise OracleUnavailable("the monic coefficients leave the float range")
+    return mono
 
 
 def half_plane_counts(root_set: RootSet, delta: float = 1e-8) -> HalfPlaneCounts:

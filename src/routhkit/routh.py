@@ -30,6 +30,13 @@ How each is repaired is the selectable :class:`Policy`:
 
 The number of sign changes down the first column equals the number of roots
 in the open right half-plane.
+
+Until the first degenerate row the array is built in integers, each row a
+list of integers over one positive denominator (the form `Polynomial` holds
+as `_ints` over `_denom`); the denominator being positive, an entry's sign
+is its integer's sign.  At the first all-zero row or zero first entry the
+rows built so far become Fractions and the recurrence goes on in Q(e).
+`RouthArray` keeps the rows as built and lifts them into EpsRat on reading.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (DegreeTooSmall, EpsContaminatedRow, OracleUnavailable,
@@ -84,10 +93,19 @@ class SpecialEvent:
 
 @dataclass(frozen=True)
 class RouthArray:
+    """The array as built: `built` holds one (entries, denominator) pair
+    per row, integer entries over a positive denominator on an event-free
+    array, or Fraction and EpsRat entries over 1 once an event happened.
+    `rows` lifts them into EpsRat on first read."""
+
     degree: int
-    rows: tuple[tuple[EpsRat, ...], ...]
+    built: tuple[tuple[list, int], ...]
     events: tuple[SpecialEvent, ...]
     policy: Policy
+
+    @cached_property
+    def rows(self) -> tuple[tuple[EpsRat, ...], ...]:
+        return tuple(_lift(row, d) for row, d in self.built)
 
     @property
     def first_column(self) -> tuple[EpsRat, ...]:
@@ -151,31 +169,45 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
     """
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("array construction needs degree >= 1")
-    if not p.constant_term:
+    if not p._ints[0]:
         raise OriginRoot("constant term is zero; strip origin roots first")
-    if p.leading_coefficient < 0:
+    if p._ints[-1] < 0:
         raise ValueError("leading coefficient must be positive; normalize first")
 
     n = p.degree
-    events: list[SpecialEvent] = []
-    # Entries stay plain Fractions unless e reaches them, so a row may hold
-    # Fractions beside the EpsRats a remedy brought in; the EpsRat operators,
-    # reflected ones included, coerce them.  Rows are lifted once, at the end.
-    rows = [[p.coeff(n - 2 * j) for j in range(n // 2 + 1)]]
-    for power in range(n - 1, -1, -1):
-        if power == n - 1:
-            row = [p.coeff(n - 1 - 2 * j) for j in range(power // 2 + 1)]
-        else:
-            row = cross_multiply(rows[-2], rows[-1])
-        _remediate(row, power, rows[-1], policy, events)
-        rows.append(row)
+    top, d = p._ints[::-1], p._denom
+    rows = [(top[0::2], d), (top[1::2], d)]
+    # row i+2 from rows i and i+1 over the integers, while no event happens
+    while rows[-1][0][0] and len(rows) <= n:
+        (f2, d2), (f1, _) = rows[-2], rows[-1]
+        head, pivot = f2[0], f1[0]
+        g = [pivot * b - head * a for b, a in zip(f2[1:], f1[1:])]
+        g += [pivot * b for b in f2[len(f1):]]
+        den = d2 * pivot
+        if den < 0:
+            den, g = -den, [-x for x in g]
+        c = gcd(den, *g)
+        rows.append(([x // c for x in g], den // c))
 
-    array = RouthArray(degree=n,
-                       rows=tuple(_lift(r) for r in rows),
-                       events=tuple(events),
-                       policy=policy)
-    assert all(r[0].sign() != 0 for r in array.rows)
-    return array
+    events: list[SpecialEvent] = []
+    if not rows[-1][0][0]:
+        # the first degenerate row: go on in Q(e).  Entries stay plain
+        # Fractions unless e reaches them, so a row may hold Fractions
+        # beside the EpsRats a remedy brought in; the EpsRat operators,
+        # reflected ones included, coerce them.
+        rows = [[Fraction(x, d) for x in row] for row, d in rows]
+        power = n + 1 - len(rows)
+        _remediate(rows[-1], power, rows[-2], policy, events)
+        for power in range(power - 1, -1, -1):
+            row = cross_multiply(rows[-2], rows[-1])
+            _remediate(row, power, rows[-1], policy, events)
+            rows.append(row)
+        rows = [(row, 1) for row in rows]
+
+    if not all(row[0] for row, _ in rows):
+        raise ArithmeticError("a first-column entry is zero after the remedies")
+    return RouthArray(degree=n, built=tuple(rows), events=tuple(events),
+                      policy=policy)
 
 
 def cross_multiply(above2: Sequence, above: Sequence) -> list:
@@ -190,8 +222,8 @@ def cross_multiply(above2: Sequence, above: Sequence) -> list:
     return row
 
 
-def _lift(row) -> tuple[EpsRat, ...]:
-    return tuple(x if isinstance(x, EpsRat) else EpsRat.from_rational(x)
+def _lift(row, d: int) -> tuple[EpsRat, ...]:
+    return tuple(x if isinstance(x, EpsRat) else EpsRat.from_rational(Fraction(x, d))
                  for x in row)
 
 
@@ -222,7 +254,8 @@ def _remediate(row: list, power: int, above: Sequence, policy: Policy,
 
 def count_sign_changes(array: RouthArray) -> tuple[tuple[int, ...], int]:
     """First-column signs (each +1/-1) and the number of adjacent flips."""
-    signs = tuple(entry.sign() for entry in array.first_column)
+    signs = tuple(row[0].sign() if isinstance(row[0], EpsRat)
+                  else 1 if row[0] > 0 else -1 for row, _ in array.built)
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return signs, changes
 
@@ -245,14 +278,13 @@ def classify(p: Polynomial, policy: Policy = Policy.AUTO,
         mono = "s" if k == 1 else f"s^{k}"
         events.append(SpecialEvent(EventKind.ORIGIN_ROOTS_STRIPPED, None,
                                    f"factored out {mono}"))
-    if q.leading_coefficient < 0:
+    if q._ints[-1] < 0:
         q = -q
         events.append(SpecialEvent(EventKind.LEADING_SIGN_FLIP, None,
                                    "multiplied polynomial by -1"))
 
     if q.degree == 0:
-        array = RouthArray(degree=0,
-                           rows=((EpsRat.from_rational(q.constant_term),),),
+        array = RouthArray(degree=0, built=((q._ints, q._denom),),
                            events=(), policy=policy)
     else:
         array = build_array(q, policy)

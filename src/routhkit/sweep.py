@@ -6,11 +6,12 @@ and merges consecutive Stable samples into intervals.  Interval endpoints
 are the first and last stable sample values, i.e. accurate to one step.
 
 Method.  The Routh first column is built once, over Q(K): the `EpsRat`
-field with its symbol standing for K, through the same cross-multiplication
-step as `routh.build_array`, with field arithmetic and zero tests only.  A
-sample K = N/D (unreduced, D > 0) then reads the sign of every entry from
-one integer homogeneous Horner value of the product of its reduced
-numerator and denominator, which vanishes exactly where one of them does.
+field with its symbol standing for K, through `routh.cross_multiply`, the
+step `routh.build_array` takes in Q(e), with field arithmetic and zero
+tests only.  A sample K = N/D (unreduced, D > 0) then reads the sign of
+every entry from one integer homogeneous Horner value of the product of
+its reduced numerator and denominator, which vanishes exactly where one of
+them does.
 When no value vanishes, the sample is Unstable if the signs change down the
 column and Stable otherwise.
 

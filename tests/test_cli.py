@@ -102,6 +102,21 @@ class TestAnalyze:
         assert "verdict: Stable\n" in out
         assert "oracle: unavailable" in out
 
+    def test_oracle_middle_underflow_keeps_exact_verdict(self, capsys):
+        # 1e-400 s underflows to 0.0 s: the oracle would answer s^2 + 1
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", "1,1e-400,1",
+                                 "--oracle")
+        assert (code, err) == (0, "")
+        assert "verdict: Stable\n" in out
+        assert out.endswith("oracle: unavailable "
+                            "(the monic coefficients leave the float range)\n")
+        code, out, _ = run_cli(capsys, "analyze", "--coeffs", "1,1e-400,1",
+                               "--oracle", "--json")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (0, "Stable")
+        assert doc["oracle"] == {
+            "unavailable": "the monic coefficients leave the float range"}
+
     def test_zero_denominator_in_term_form_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--coeffs", "1/0*s + 1")
         assert code == 65
@@ -171,6 +186,22 @@ class TestCompare:
             for policy in ("single-eps", "eps-row", "derivative")]
         assert rows[3][:4] == ["oracle", "-", "-", "unavailable:"]
         code, out, _ = run_cli(capsys, "compare", "--coeffs", "1e-400,1,1",
+                               "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert [r["agrees_with_oracle"] for r in doc["policies"]] == [None] * 3
+        assert list(doc["oracle"]) == ["unavailable"]
+
+    def test_oracle_middle_underflow_leaves_agreement_open(self, capsys):
+        # the oracle used to read s^2 + 1 (axis=2) here and agree by chance
+        code, out, err = run_cli(capsys, "compare", "--coeffs", "1,1e-400,1")
+        assert (code, err) == (0, "")
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [r[:5] for r in rows[:3]] == [
+            [policy, "0", "0", "Stable", "-"]
+            for policy in ("single-eps", "eps-row", "derivative")]
+        assert rows[3][:4] == ["oracle", "-", "-", "unavailable:"]
+        code, out, _ = run_cli(capsys, "compare", "--coeffs", "1,1e-400,1",
                                "--json")
         doc = json.loads(out)
         assert code == 0

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from routhkit import (DegreeTooSmall, ExactMatrix, Polynomial, build_array,
+from routhkit import (DegreeTooSmall, ExactMatrix, Lcg64, Polynomial, build_array,
                       count_sign_changes, hurwitz_matrix, hurwitz_stable,
                       leading_minors)
 from routhkit.corpus import random_polynomial
+from conftest import ladder_families
 
 
 def F(x):
@@ -111,6 +112,17 @@ class TestHurwitzStable:
 
     def test_stable_double_root(self):
         assert hurwitz_stable(Polynomial([1, 2, 1])).stable
+
+    def test_integer_route_matches_fraction_matrix(self):
+        # hurwitz_stable reads the integer form; the public route scales
+        # the Fraction matrix back to integers
+        rng = Lcg64(7)
+        polys = [random_polynomial(rng, 12)[0] for _ in range(500)]
+        polys += ladder_families()
+        polys += [Polynomial([Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9), 1]),
+                  Polynomial([Fraction(1, 10 ** 30), 2, Fraction(3, 4)])]
+        for poly in polys:
+            assert hurwitz_stable(poly).minors == leading_minors(hurwitz_matrix(poly))
 
     def test_equivalence_with_routh(self, rng):
         checked = 0

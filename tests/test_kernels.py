@@ -1,8 +1,9 @@
 """Differential checks of the integer kernels against plain exact references.
 
-`build_array` keeps e-free entries as Fractions beside EpsRats, and
-`Polynomial.from_roots` expands over the integers; both must give exactly
-what the textbook formulas give over EpsRat and Fraction.
+`build_array` runs in integer rows until the first degenerate row and then
+keeps e-free entries as Fractions beside EpsRats, and `Polynomial.from_roots`
+expands over the integers; both must give exactly what the textbook
+formulas give over EpsRat and Fraction.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from routhkit import EpsRat, Lcg64, Policy, PolicyUnsupported, Polynomial, build_array
+from routhkit import (EpsRat, Lcg64, Policy, PolicyUnsupported, Polynomial,
+                      auxiliary_polynomial, build_array, classify,
+                      count_sign_changes)
 from routhkit.corpus import random_polynomial, random_roots
 from routhkit.routh import _remediate
-from routhkit import exact_arith
+from routhkit import exact_arith, routh
 from conftest import ladder_families
 
 POLICIES = (Policy.SINGLE_EPSILON, Policy.EPSILON_ROW, Policy.DERIVATIVE_ROW)
@@ -48,6 +51,8 @@ def assert_matches_reference(p: Polynomial, policy: Policy) -> None:
             build_array(p, policy)
         return
     array = build_array(p, policy)
+    # the signs come from the stored rows, before any lift
+    assert count_sign_changes(array)[0] == tuple(row[0].sign() for row in rows)
     assert array.rows == rows
     assert [[str(e) for e in row] for row in array.rows] == \
         [[str(e) for e in row] for row in rows]
@@ -61,11 +66,15 @@ def normalized(p: Polynomial) -> Polynomial:
     return -q if q.leading_coefficient < 0 else q
 
 
+# small rationals over mixed denominators, integers among them
+rationals = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3, 4, 7)))
+
+
 @st.composite
-def integer_polynomials(draw) -> Polynomial:
-    """Small integer polynomials; an even factor q(s^2), drawn half the
+def rational_polynomials(draw) -> Polynomial:
+    """Small rational polynomials; an even factor q(s^2), drawn half the
     time, makes roots symmetric about the origin and so a zero row."""
-    coeffs = st.lists(st.integers(-3, 3), min_size=2, max_size=6)
+    coeffs = st.lists(rationals, min_size=2, max_size=6)
     p = Polynomial(draw(coeffs))
     if draw(st.booleans()):
         p = p * Polynomial([c for k in draw(coeffs) for c in (k, 0)])
@@ -75,12 +84,78 @@ def integer_polynomials(draw) -> Polynomial:
     return q
 
 
+@st.composite
+def degenerate_after_prefix(draw) -> tuple[Polynomial, int]:
+    """(p, m): p's array is event-free down to its s^m row, whose first
+    entry is zero (the whole row, at times), after up to 9 regular rows.
+
+    Rows are polynomials R_k in s of the parity of k.  One Routh step maps
+    (R_{k+2}, R_{k+1}) to (R_{k+1}, R_k) with R_k = R_{k+2} - c s R_{k+1},
+    c the ratio of their first entries; so any c != 0 puts the rows
+    R_{k+2} = c s R_{k+1} + R_k on top of the pair (R_{k+1}, R_k).
+    """
+    m = draw(st.integers(0, 4))
+    below = [draw(rationals.filter(bool))] + draw(
+        st.lists(rationals, min_size=(m + 1) // 2, max_size=(m + 1) // 2))
+    at = [Fraction(0)] + draw(st.lists(rationals, min_size=m // 2, max_size=m // 2))
+    upper, lower = auxiliary_polynomial(below, m + 1), auxiliary_polynomial(at, m)
+    for _ in range(draw(st.integers(0, 8))):
+        c = draw(rationals.filter(bool))
+        upper, lower = Polynomial([0, c]) * upper + lower, upper
+    p = upper + lower
+    assume(p.constant_term)
+    return (-p if p.leading_coefficient < 0 else p), m
+
+
 class TestBuildArrayKernel:
     @settings(max_examples=300, deadline=None)
-    @given(integer_polynomials())
+    @given(rational_polynomials())
     def test_matches_reference(self, p):
         for policy in POLICIES:
             assert_matches_reference(p, policy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(degenerate_after_prefix())
+    def test_handover_at_every_row(self, case):
+        # the integer rows hand over to Q(e) at the s^m row, at row index
+        # degree - m, which ranges over 1..9
+        p, m = case
+        array = build_array(p, Policy.DERIVATIVE_ROW)
+        assert array.events[0].row_power == m
+        assert all(d == 1 for _, d in array.built)
+        for policy in POLICIES:
+            assert_matches_reference(p, policy)
+
+    def test_corpus_regular_path_lifts_on_read_only(self, monkeypatch):
+        # classify reads the signs from the integer rows: no _lift at all,
+        # and no EpsRat on an event-free draw, until `rows` is read
+        calls = {"lift": 0, "from_rational": 0}
+        lift, from_rational = routh._lift, EpsRat.from_rational
+
+        def counting_lift(row, d):
+            calls["lift"] += 1
+            return lift(row, d)
+
+        def counting_from_rational(cls, value):
+            calls["from_rational"] += 1
+            return from_rational(value)
+
+        monkeypatch.setattr(routh, "_lift", counting_lift)
+        monkeypatch.setattr(EpsRat, "from_rational", classmethod(counting_from_rational))
+        rng = Lcg64(7)
+        reports = []
+        for _ in range(1000):
+            p, _ = random_polynomial(rng, 12)
+            before = calls["from_rational"]
+            report = classify(p, Policy.AUTO, with_oracle=True)
+            if not report.events:
+                assert calls["from_rational"] == before
+            reports.append((p, report))
+        assert calls["lift"] == 0
+        assert sum(1 for _, r in reports if not r.events) > 700
+        monkeypatch.undo()
+        for p, report in reports:
+            assert report.array.rows == reference_array(p, Policy.AUTO)[0]
 
     @pytest.mark.parametrize("p", [
         *(Polynomial([1] * (n + 1)) for n in range(2, 13)),
@@ -114,6 +189,13 @@ def fraction_expansion(roots) -> Polynomial:
     return Polynomial([x.limit_denominator(10 ** 6) for x, _ in coeffs])
 
 
+def assert_same_polynomial(p: Polynomial, q: Polynomial) -> None:
+    """Equal as values and in the stored integer form."""
+    assert p == q
+    assert hash(p) == hash(q)
+    assert (p._ints, p._denom) == (q._ints, q._denom)
+
+
 # binary fractions k / 2^j, so conjugates are exact
 binary = st.builds(lambda k, j: k / 2 ** j, st.integers(-40, 40), st.integers(0, 4))
 
@@ -126,17 +208,25 @@ class TestFromRootsKernel:
         roots = [complex(x) for x in reals]
         for re, im in pairs:
             roots += [complex(re, im), complex(re, -im)]
-        assert Polynomial.from_roots(roots) == fraction_expansion(roots)
+        assert_same_polynomial(Polynomial.from_roots(roots), fraction_expansion(roots))
 
     def test_corpus_draws(self):
         rng = Lcg64(20261018)
         for _ in range(200):
             roots = random_roots(rng, rng.randint(1, 12))
-            assert Polynomial.from_roots(roots) == fraction_expansion(roots)
+            assert_same_polynomial(Polynomial.from_roots(roots), fraction_expansion(roots))
 
     def test_rounding_kicks_in(self):
         # 1/3 is not a binary fraction: its float is rounded back to 1/3
-        assert Polynomial.from_roots([1 / 3]) == Polynomial([Fraction(-1, 3), 1])
+        assert_same_polynomial(Polynomial.from_roots([1 / 3]),
+                               Polynomial([Fraction(-1, 3), 1]))
+
+    def test_rounding_of_binary_roots(self):
+        # (s - 1/16)^6 has constant 1/2^24: past 10**6, so it is rounded
+        roots = [1 / 16] * 6
+        p = Polynomial.from_roots(roots)
+        assert_same_polynomial(p, fraction_expansion(roots))
+        assert p.constant_term != Fraction(1, 2 ** 24)
 
 
 def rows_digest(p: Polynomial, policy: Policy) -> str:

@@ -6,10 +6,13 @@ import math
 
 import pytest
 
+from fractions import Fraction
+
 from routhkit import (DegreeTooSmall, Lcg64, OracleUnavailable, Policy,
                       Polynomial, RootSet, classify, find_roots,
                       half_plane_counts)
 from routhkit.corpus import random_polynomial, random_roots
+from routhkit.root_oracle import _monic_floats
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,8 @@ class TestFindRoots:
         "1,1e400,1",    # a coefficient has no float
         "1e-400,1,1",   # the leading coefficient underflows to 0.0
         "1e-310,1,1",   # a subnormal leading coefficient: 1/lead is inf
+        "1,1e-400,1",   # a middle coefficient underflows: s^2 + 1 is not p
+        "1,1,1e-400",   # the constant underflows: a root at 0 is not p's
     ])
     def test_out_of_float_range_is_unavailable(self, coeffs):
         poly = Polynomial.parse(coeffs)
@@ -139,6 +144,36 @@ class TestRoundingFloor:
         for poly, _, _ in seed7_draws:
             if poly.degree >= 4:
                 assert not find_roots(poly, max_iter=1).converged
+
+
+class TestMonicFloats:
+    """The solver's doubles come from the integer form; they must be the
+    doubles that float(Fraction) gives."""
+
+    @staticmethod
+    def fraction_route(p: Polynomial) -> list[float]:
+        lead = float(p.leading_coefficient)
+        return [float(c) / lead for c in p.coeffs]
+
+    def test_corpus_draws(self, seed7_draws):
+        for poly, _, _ in seed7_draws:
+            assert _monic_floats(poly) == self.fraction_route(poly)
+
+    def test_wide_rationals(self, rng):
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            coeffs = [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
+                      * Fraction(10) ** rng.randint(-250, 250) for _ in range(n + 1)]
+            poly = Polynomial(coeffs)
+            if poly.is_zero or poly.degree < 1:
+                continue
+            try:
+                expected = self.fraction_route(poly)
+            except (OverflowError, ZeroDivisionError):
+                continue
+            if all(map(math.isfinite, expected)) and all(
+                    f or not c for f, c in zip(expected, poly.coeffs)):
+                assert _monic_floats(poly) == expected
 
 
 class TestHalfPlaneCounts:
