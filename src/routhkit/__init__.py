@@ -8,39 +8,40 @@ tolerance.  A Hurwitz-determinant criterion and a simultaneous-iteration
 root solver provide two independent cross-checks.
 """
 
-from .errors import (DegreeTooSmall, EmptyPolynomial, EpsContaminatedRow,
-                     MultipleParameters, NoParameter, OracleUnavailable,
-                     OriginRoot, ParseError, PolicyUnsupported, RouthKitError,
-                     UnpairedComplexRoot)
-from .exact_arith import (EPSILON, POLE_AT_ZERO, EpsPoly, EpsRat, PoleAtZero,
-                          Rational)
-from .polynomial import Polynomial
-from .routh import (EventKind, OracleSummary, Policy, RouthArray,
-                    SpecialEvent, StabilityReport, Verdict,
-                    auxiliary_polynomial, build_array, classify,
-                    count_sign_changes)
-from .hurwitz import (ExactMatrix, HurwitzDecision, hurwitz_matrix,
-                      hurwitz_stable, leading_minors)
-from .root_oracle import (HalfPlaneCounts, RootSet, find_roots,
-                          half_plane_counts)
-from .corpus import CorpusSummary, Disagreement, Lcg64, run_corpus
-from .sweep import SweepResult, run_sweep
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rational", "EpsPoly", "EpsRat", "EPSILON", "POLE_AT_ZERO", "PoleAtZero",
-    "Polynomial",
-    "Policy", "Verdict", "EventKind", "SpecialEvent", "RouthArray",
-    "StabilityReport", "OracleSummary",
-    "build_array", "count_sign_changes", "auxiliary_polynomial", "classify",
-    "ExactMatrix", "HurwitzDecision", "hurwitz_matrix", "leading_minors",
-    "hurwitz_stable",
-    "RootSet", "HalfPlaneCounts", "find_roots", "half_plane_counts",
-    "Lcg64", "CorpusSummary", "Disagreement", "run_corpus",
-    "SweepResult", "run_sweep",
-    "RouthKitError", "ParseError", "EmptyPolynomial", "UnpairedComplexRoot",
-    "DegreeTooSmall", "OriginRoot", "PolicyUnsupported", "EpsContaminatedRow",
-    "NoParameter", "MultipleParameters", "OracleUnavailable",
-    "__version__",
-]
+# public name -> the submodule that defines it.  Names and submodules load
+# on first access (PEP 562), so `import routhkit` alone imports none of them
+# and a command pays only for the modules it uses.
+_EXPORTS = {name: module for module, names in (
+    ("exact_arith", "Rational EpsPoly EpsRat EPSILON POLE_AT_ZERO PoleAtZero"),
+    ("polynomial", "Polynomial"),
+    ("routh", "Policy Verdict EventKind SpecialEvent RouthArray StabilityReport"
+              " OracleSummary build_array count_sign_changes"
+              " auxiliary_polynomial classify"),
+    ("hurwitz", "ExactMatrix HurwitzDecision hurwitz_matrix leading_minors"
+                " hurwitz_stable"),
+    ("root_oracle", "RootSet HalfPlaneCounts find_roots half_plane_counts"),
+    ("corpus", "Lcg64 CorpusSummary Disagreement run_corpus"),
+    ("sweep", "SweepResult run_sweep"),
+    ("errors", "RouthKitError ParseError EmptyPolynomial UnpairedComplexRoot"
+               " DegreeTooSmall OriginRoot PolicyUnsupported EpsContaminatedRow"
+               " NoParameter MultipleParameters OracleUnavailable"),
+) for name in names.split()}
+_SUBMODULES = {*_EXPORTS.values(), "cli"}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

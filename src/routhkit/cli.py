@@ -12,23 +12,29 @@ platforms.
 Exit codes: 0 Stable, 1 Unstable, 2 Marginal/Undetermined, 64 usage error,
 65 data error, 70 internal error (a defect in routhkit, never a verdict).
 `corpus` exits 1 when any disagreement is found.
+
+Each command runs in a fresh process, so start-up is part of every answer.
+A module that only some commands need is imported inside those commands,
+never at the top of this module: `corpus`, `sweep` and `json` here, and the
+root oracle inside `routh.oracle_summary`.  The package itself resolves its
+names lazily, so `import routhkit` loads no submodule.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .corpus import POLICY as CORPUS_POLICY
-from .corpus import CorpusSummary, run_corpus
 from .errors import RouthKitError
 from .polynomial import Polynomial
 from .routh import (OracleSummary, Policy, PolicyUnsupported, StabilityReport,
                     Verdict, classify, oracle_summary)
-from .sweep import run_sweep
+
+if TYPE_CHECKING:
+    from .corpus import CorpusSummary
 
 EXIT_STABLE = 0
 EXIT_UNSTABLE = 1
@@ -60,6 +66,7 @@ def _fmt(x: float) -> str:
 
 
 def render_json(doc) -> str:
+    import json
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -226,6 +233,7 @@ def _cmd_compare(args):
 
 
 def _corpus_doc(summary: CorpusSummary) -> dict:
+    from .corpus import POLICY as CORPUS_POLICY
     return {
         "count": summary.count,
         "max_degree": summary.max_degree,
@@ -272,6 +280,7 @@ def _corpus_text(doc: dict) -> str:
 
 
 def _cmd_corpus(args):
+    from .corpus import run_corpus
     summary = run_corpus(args.count, args.max_degree, args.seed,
                          lhp_only=args.lhp_only)
     doc = _corpus_doc(summary)
@@ -296,6 +305,7 @@ def _sweep_text(doc: dict, policy_name: str) -> str:
 
 
 def _cmd_sweep(args):
+    from .sweep import run_sweep
     lo, hi = args.range
     result = run_sweep(args.coeffs, lo, hi, args.steps,
                        policy=Policy(args.policy))

@@ -19,7 +19,7 @@ and each draw uses the high 32 bits of the new state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import PolicyUnsupported
 from .polynomial import Polynomial
@@ -93,8 +93,7 @@ def random_polynomial(rng: Lcg64, max_degree: int,
     return Polynomial.from_roots(roots), roots
 
 
-@dataclass(frozen=True)
-class Disagreement:
+class Disagreement(NamedTuple):
     polynomial: str
     routh_rhp: int
     oracle_rhp: int
@@ -103,18 +102,20 @@ class Disagreement:
     events: tuple[str, ...]
 
 
-@dataclass
 class CorpusSummary:
-    count: int
-    max_degree: int
-    seed: int
-    lhp_only: bool
-    agreements: int = 0
-    disagreements: list[Disagreement] = field(default_factory=list)
-    event_counts: dict[str, int] = field(default_factory=dict)
-    verdict_counts: dict[str, int] = field(default_factory=dict)
-    polynomials_with_events: int = 0
-    nonpositive_first_columns: int = 0
+    """Running tallies of one corpus run; `run_corpus` fills them in."""
+
+    def __init__(self, count: int, max_degree: int, seed: int, lhp_only: bool):
+        self.count = count
+        self.max_degree = max_degree
+        self.seed = seed
+        self.lhp_only = lhp_only
+        self.agreements = 0
+        self.disagreements: list[Disagreement] = []
+        self.event_counts: dict[str, int] = {}
+        self.verdict_counts: dict[str, int] = {}
+        self.polynomials_with_events = 0
+        self.nonpositive_first_columns = 0
 
     @property
     def all_agree(self) -> bool:

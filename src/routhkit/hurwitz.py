@@ -19,22 +19,20 @@ leading minor is its integer minor over d^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import DegreeTooSmall, OriginRoot
 from .polynomial import Polynomial
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(NamedTuple):
     n: int
     entries: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class HurwitzDecision:
+class HurwitzDecision(NamedTuple):
     stable: bool
     minors: tuple[Fraction, ...]
 

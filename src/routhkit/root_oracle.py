@@ -19,22 +19,20 @@ repeated roots reach it long before their steps fall below _TOL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 from .errors import DegreeTooSmall, OracleUnavailable
 from .polynomial import Polynomial
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     roots: tuple[complex, ...]
     max_residual: float
     converged: bool
 
 
-@dataclass(frozen=True)
-class HalfPlaneCounts:
+class HalfPlaneCounts(NamedTuple):
     lhp: int
     rhp: int
     axis: int

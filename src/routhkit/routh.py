@@ -41,18 +41,19 @@ rows built so far become Fractions and the recurrence goes on in Q(e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import (DegreeTooSmall, EpsContaminatedRow, OracleUnavailable,
                      OriginRoot, PolicyUnsupported)
 from .exact_arith import EPSILON, EpsRat
 from .polynomial import Polynomial
-from .root_oracle import HalfPlaneCounts, RootSet, find_roots, half_plane_counts
+
+if TYPE_CHECKING:
+    from .root_oracle import HalfPlaneCounts, RootSet
 
 
 class Policy(Enum):
@@ -78,8 +79,7 @@ class Verdict(Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class SpecialEvent:
+class SpecialEvent(NamedTuple):
     """One degeneracy (or input normalization) and the remedy applied.
 
     `row_power` is the s-power label of the affected row, or None for
@@ -91,17 +91,18 @@ class SpecialEvent:
     remedy: str
 
 
-@dataclass(frozen=True)
 class RouthArray:
     """The array as built: `built` holds one (entries, denominator) pair
     per row, integer entries over a positive denominator on an event-free
     array, or Fraction and EpsRat entries over 1 once an event happened.
     `rows` lifts them into EpsRat on first read."""
 
-    degree: int
-    built: tuple[tuple[list, int], ...]
-    events: tuple[SpecialEvent, ...]
-    policy: Policy
+    def __init__(self, degree: int, built: tuple[tuple[list, int], ...],
+                 events: tuple[SpecialEvent, ...], policy: Policy):
+        self.degree = degree
+        self.built = built
+        self.events = events
+        self.policy = policy
 
     @cached_property
     def rows(self) -> tuple[tuple[EpsRat, ...], ...]:
@@ -115,8 +116,7 @@ class RouthArray:
         return self.degree - index
 
 
-@dataclass(frozen=True)
-class OracleSummary:
+class OracleSummary(NamedTuple):
     """Independent numeric cross-check attached to a report.
 
     When the float oracle cannot run on the polynomial, `unavailable` holds
@@ -129,8 +129,7 @@ class OracleSummary:
     unavailable: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     first_column_signs: tuple[int, ...]
     sign_changes: int
     rhp_count: int
@@ -314,6 +313,8 @@ def oracle_summary(p: Polynomial, rhp_count: Optional[int] = None) -> OracleSumm
     """The float root oracle's view of p.  `agreement` says whether its RHP
     count equals `rhp_count`; it is None when no count is given or when the
     oracle is unavailable."""
+    # imported on call: analyses without the oracle never load it
+    from .root_oracle import RootSet, find_roots, half_plane_counts
     try:
         root_set = (find_roots(p) if p.degree >= 1
                     else RootSet(roots=(), max_residual=0.0, converged=True))

@@ -36,9 +36,8 @@ Undetermined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import MultipleParameters, NoParameter, PolicyUnsupported
 from .exact_arith import EPSILON, EpsRat, _int_eval_homogeneous
@@ -46,8 +45,7 @@ from .polynomial import Polynomial, parse_coefficient_list
 from .routh import Policy, Verdict, classify, cross_multiply
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     parameter: str
     lo: Fraction
     hi: Fraction

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routhkit import __version__, cli
 from routhkit.cli import main, render_json
@@ -413,6 +417,88 @@ class TestTextViews:
             "roots": [{"re": "2", "im": "1.25"}, {"re": "2", "im": "-1.25"}],
             "events": ["PolicyUnsupported: forced refusal"],
         }]
+
+
+# CLI fuzzing.  The degree stays at or below 8 and `--steps` at or below 30
+# only to bound the run time of each example.
+POLICY_NAMES = ["single-eps", "eps-row", "derivative", "auto"]
+
+_coefficient = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["0", "0", "0", "1"]),       # zeros make degenerate rows
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    st.sampled_from(["0.5", "-2.25", "1e-400", "1e400", "1e-320"]),
+)
+
+# sampled_from leans to its first element, so this is mostly False
+_one_in_eight = st.sampled_from([False] * 7 + [True])
+
+
+@st.composite
+def _coefficient_list(draw, parameters: int = 0) -> str:
+    """Descending coefficients, `parameters` of them K; one list in eight
+    also carries a malformed token."""
+    slots = draw(st.lists(_coefficient, min_size=1, max_size=9 - parameters))
+    extra = ["K"] * parameters
+    if draw(_one_in_eight):
+        extra.append(draw(st.sampled_from(["x", "nan", "1/0", "1.2.3"])))
+    for token in extra:
+        slots.insert(draw(st.integers(0, len(slots))), token)
+    return ",".join(slots)
+
+
+_term = st.builds("{} {}s^{}".format, st.sampled_from(["+", "-"]),
+                  st.sampled_from(["", "2*", "1/3*", "0*", "3/0*", "1.5*"]),
+                  st.integers(0, 8))
+_term_form = st.lists(_term, min_size=1, max_size=5).map(" ".join)
+
+
+@st.composite
+def _range(draw) -> str:
+    """lo:hi with lo < hi; one range in eight is malformed or reversed."""
+    if draw(_one_in_eight):
+        return draw(st.sampled_from(["1:", "a:b", "0:1/0", "2:1"]))
+    lo = draw(st.fractions(-20, 20, max_denominator=4))
+    return f"{lo}:{lo + draw(st.fractions(1, 20, max_denominator=4))}"
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["analyze", "compare", "sweep"]))
+    if command == "sweep":
+        parameters = draw(st.sampled_from([1] * 8 + [0, 2]))
+        steps = draw(st.integers(-1, 30) if draw(_one_in_eight)
+                     else st.integers(2, 30))
+        argv = ["sweep", "--coeffs=" + draw(_coefficient_list(parameters)),
+                "--range=" + draw(_range()), "--steps", str(steps)]
+        if draw(st.booleans()):
+            argv.append("--samples")
+    else:
+        coeffs = draw(st.one_of(_coefficient_list(), _term_form))
+        argv = [command, "--coeffs=" + coeffs]
+        if command == "analyze" and draw(st.booleans()):
+            argv.append("--oracle")
+    if command != "compare" and draw(st.booleans()):
+        argv += ["--policy", draw(st.sampled_from(POLICY_NAMES))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=cli_argv())
+    def test_exit_code_is_a_verdict_or_an_input_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse's usage errors
+                code = exc.code
+        assert code in {0, 1, 2, 64, 65}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code in {64, 65}:
+            assert err.getvalue(), argv
 
 
 def eval_fraction(text: str) -> float:
