@@ -30,7 +30,7 @@ _EXPORTS = {name: module for module, names in (
                " DegreeTooSmall OriginRoot PolicyUnsupported EpsContaminatedRow"
                " NoParameter MultipleParameters OracleUnavailable"),
 ) for name in names.split()}
-_SUBMODULES = {*_EXPORTS.values(), "cli"}
+_SUBMODULES = {*_EXPORTS.values(), "intpoly", "cli"}
 
 __all__ = [*_EXPORTS, "__version__"]
 

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import EmptyPolynomial, ParseError, UnpairedComplexRoot
-from .exact_arith import _DensePoly
+from .intpoly import DensePoly
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 
@@ -33,11 +33,11 @@ _TERM = re.compile(
 )
 
 
-class Polynomial(_DensePoly):
+class Polynomial(DensePoly):
     """Real polynomial in s with exact rational coefficients.
 
     Arithmetic, equality, hashing and the term renderer come from the dense
-    core in `exact_arith`.  The zero polynomial is a distinct state (empty
+    core in `intpoly`.  The zero polynomial is a distinct state (empty
     coefficient tuple) with no defined degree.
     """
 

@@ -40,7 +40,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import MultipleParameters, NoParameter, PolicyUnsupported
-from .exact_arith import EPSILON, EpsRat, _int_eval_homogeneous
+from .exact_arith import EPSILON, EpsRat
+from .intpoly import eval_homogeneous
 from .polynomial import Polynomial, parse_coefficient_list
 from .routh import Policy, Verdict, classify, cross_multiply
 
@@ -112,7 +113,7 @@ def run_sweep(template_text: str, lo: Fraction, hi: Fraction, steps: int,
     for i in range(steps):
         n = lo_n * (m - i) + hi_n * i
         value = Fraction(n, d)
-        signs = polys and [_int_eval_homogeneous(p, n, d) for p in polys]
+        signs = polys and [eval_homogeneous(p, n, d) for p in polys]
         if signs and all(signs):
             changes = any((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
             verdict = (Verdict.UNSTABLE if changes else Verdict.STABLE).value

@@ -20,7 +20,7 @@ from routhkit import (EpsRat, Lcg64, Policy, PolicyUnsupported, Polynomial,
                       count_sign_changes)
 from routhkit.corpus import random_polynomial, random_roots
 from routhkit.routh import _remediate
-from routhkit import exact_arith, routh
+from routhkit import exact_arith, intpoly, routh
 from conftest import ladder_families
 
 POLICIES = (Policy.SINGLE_EPSILON, Policy.EPSILON_ROW, Policy.DERIVATIVE_ROW)
@@ -266,10 +266,10 @@ class TestGcdKernel:
                 return fn(a, b)
             return wrapped
 
-        monkeypatch.setattr(exact_arith, "_int_gcd",
-                            counting("gcd", exact_arith._int_gcd))
-        monkeypatch.setattr(exact_arith, "_prs_gcd",
-                            counting("prs", exact_arith._prs_gcd))
+        monkeypatch.setattr(exact_arith, "gcd_cofactors",
+                            counting("gcd", exact_arith.gcd_cofactors))
+        monkeypatch.setattr(intpoly, "_prs_gcd",
+                            counting("prs", intpoly._prs_gcd))
         rng = Lcg64(7)
         for _ in range(1000):
             p, _ = random_polynomial(rng, 12)

@@ -3,6 +3,7 @@ modules each command loads in a fresh interpreter."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,7 +37,7 @@ PUBLIC_NAMES = [
     "__version__",
 ]
 
-SUBMODULES = ["cli", "corpus", "errors", "exact_arith", "hurwitz",
+SUBMODULES = ["cli", "corpus", "errors", "exact_arith", "hurwitz", "intpoly",
               "polynomial", "root_oracle", "routh", "sweep"]
 
 
@@ -205,7 +206,27 @@ class TestImportBudget:
                                   "compare", "sweep", "corpus"])
     def test_command_loads_only_what_it_uses(self, argv, needed):
         loaded = loaded_modules(*argv)
-        assert "routhkit.routh" in loaded
+        assert {"routhkit.routh", "routhkit.intpoly"} <= loaded
         assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
         ours = {m.removeprefix("routhkit.") for m in loaded}
         assert ours & OPTIONAL == needed
+
+
+def private_relative_imports(path: Path) -> list[str]:
+    """`module: name` for each relative import of a name with a leading
+    underscore (dunders such as `__version__` excepted)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [f"{path.stem}: {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")
+                      and not (alias.name.startswith("__")
+                               and alias.name.endswith("__"))]
+    return found
+
+
+class TestLayering:
+    def test_no_module_imports_another_modules_private_name(self):
+        found = [hit for path in sorted((SRC / "routhkit").glob("*.py"))
+                 for hit in private_relative_imports(path)]
+        assert found == []
