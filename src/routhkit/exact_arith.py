@@ -29,29 +29,21 @@ from functools import total_ordering
 from math import gcd
 from typing import Union
 
-from .intpoly import DensePoly, gcd_cofactors
+from .intpoly import DensePoly, eval_homogeneous, gcd_cofactors
 
 Rational = Fraction
 
 _CoeffLike = Union[int, Fraction]
 
 
-class _PoleAtZero:
-    """Sentinel returned by :meth:`EpsRat.limit` when the value blows up."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+class PoleAtZero:
+    """Type of POLE_AT_ZERO, what :meth:`EpsRat.limit` gives at a pole."""
 
     def __repr__(self):
         return "PoleAtZero"
 
 
-PoleAtZero = _PoleAtZero
-POLE_AT_ZERO = _PoleAtZero()
+POLE_AT_ZERO = PoleAtZero()
 
 
 class EpsPoly(DensePoly):
@@ -73,18 +65,17 @@ class EpsPoly(DensePoly):
         raise ValueError("zero polynomial has no valuation")
 
     def lowest_coeff(self) -> Fraction:
-        return self.coeffs[self.valuation]
+        return self.coeff(self.valuation)
 
     def constant(self) -> Fraction:
         """Coefficient of e^0."""
-        return self.coeffs[0] if self._ints else Fraction(0)
+        return self.coeff(0)
 
     def evaluate(self, value: Fraction) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        """Exact value at a rational point, by integer Horner evaluation."""
+        n, d = value.numerator, value.denominator
+        return Fraction(eval_homogeneous(self._ints, n, d),
+                        self._denom * d ** max(self.degree, 0))
 
     def __str__(self):
         return self._render("e", descending=False)
@@ -130,7 +121,8 @@ class EpsRat:
     """Element of the ordered field Q(e), held in canonical form.
 
     Supports +, -, *, / with other EpsRat values and with int/Fraction
-    operands.  Ordering compares values in the limit e -> 0+.
+    operands.  Ordering compares values in the limit e -> 0+.  Each result
+    of + - * / is reduced once; negation and `from_rational` never reduce.
     """
 
     __slots__ = ("num", "den")
@@ -148,12 +140,18 @@ class EpsRat:
         self.den = den
 
     @classmethod
-    def from_rational(cls, value: _CoeffLike) -> "EpsRat":
+    def _canonical(cls, num: EpsPoly, den: EpsPoly) -> "EpsRat":
+        """Wrap a num/den pair that is already in canonical form."""
         self = object.__new__(cls)
-        v = value if type(value) is Fraction else Fraction(value)
-        self.num = EpsPoly._raw([v.numerator], v.denominator) if v else _ZERO_P
-        self.den = _ONE_P
+        self.num = num
+        self.den = den
         return self
+
+    @classmethod
+    def from_rational(cls, value: _CoeffLike) -> "EpsRat":
+        v = value if type(value) is Fraction else Fraction(value)
+        return cls._canonical(
+            EpsPoly._raw([v.numerator], v.denominator) if v else _ZERO_P, _ONE_P)
 
     @property
     def is_zero(self) -> bool:
@@ -206,7 +204,7 @@ class EpsRat:
     __radd__ = __add__
 
     def __neg__(self):
-        return EpsRat(-self.num, self.den)
+        return EpsRat._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -290,4 +288,4 @@ def _coerce(value):
 
 
 #: The formal positive infinitesimal.
-EPSILON = EpsRat(_EPS_P)
+EPSILON = EpsRat._canonical(_EPS_P, _ONE_P)

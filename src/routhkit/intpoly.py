@@ -3,10 +3,11 @@
 
 A polynomial is held as a list of integer coefficients ascending by power,
 with no trailing zero (the `_ints` form), over one shared positive
-denominator.  The functions below take and return such lists: primitive
-part, gcd with cofactors (GCDHEU, then the primitive PRS), exact and pseudo
-division, and Horner evaluation at an integer or, homogeneously, at a
-rational point.  They never mutate their inputs.
+denominator, the only form a `DensePoly` stores.  The functions below take
+and return such lists: primitive part, gcd with cofactors (GCDHEU, then
+the primitive PRS), exact and pseudo division, and Horner evaluation at an
+integer or, homogeneously, at a rational point.  They never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ class DensePoly:
     (in e) and `polynomial.Polynomial` (in s) share.
 
     The polynomial is held as integer coefficients, ascending by power with
-    trailing zeros stripped, over one shared positive denominator, and add,
-    neg, mul and scale run on those integers.  `coeffs` gives the same
-    polynomial as a tuple of Fractions; the zero polynomial has an empty
+    trailing zeros stripped, over one shared positive denominator; add,
+    neg, mul, scale and equality run on those integers.  `coeffs` and
+    `coeff` build Fractions on each read; the zero polynomial has an empty
     coefficient tuple.  Operands of two different subclasses do not mix.
     """
 
-    __slots__ = ("_ints", "_denom", "_coeffs")
+    __slots__ = ("_ints", "_denom")
 
     def __init__(self, coeffs: Iterable[_CoeffLike] = ()):
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -38,7 +39,6 @@ class DensePoly:
         denom = lcm(*(c.denominator for c in cs))
         self._ints = [c.numerator * (denom // c.denominator) for c in cs]
         self._denom = denom
-        self._coeffs = tuple(cs)
 
     @classmethod
     def _raw(cls, ints: list[int], denom: int):
@@ -47,15 +47,17 @@ class DensePoly:
         self = object.__new__(cls)
         self._ints = ints
         self._denom = denom
-        self._coeffs = None
         return self
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            denom = self._denom
-            self._coeffs = tuple(Fraction(c, denom) for c in self._ints)
-        return self._coeffs
+        return tuple(Fraction(c, self._denom) for c in self._ints)
+
+    def coeff(self, k: int) -> Fraction:
+        """Coefficient of the k-th power; zero outside the stored range."""
+        if 0 <= k < len(self._ints):
+            return Fraction(self._ints[k], self._denom)
+        return Fraction(0)
 
     @property
     def is_zero(self) -> bool:
@@ -113,7 +115,9 @@ class DensePoly:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        a, b = self._ints, other._ints
+        da, db = self._denom, other._denom
+        return len(a) == len(b) and all(x * db == y * da for x, y in zip(a, b))
 
     def __hash__(self):
         return hash(self.coeffs)

@@ -132,17 +132,11 @@ class Polynomial(DensePoly):
     def leading_coefficient(self) -> Fraction:
         if not self._ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self._ints) - 1)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self._ints else Fraction(0)
-
-    def coeff(self, k: int) -> Fraction:
-        """Coefficient of s^k; zero outside the stored range."""
-        if 0 <= k < len(self._ints):
-            return self.coeffs[k]
-        return Fraction(0)
+        return self.coeff(0)
 
     def descending_strings(self) -> list[str]:
         """Coefficients as exact fraction strings, highest power first."""

@@ -56,7 +56,8 @@ def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
     root an estimate can still lie far from the true root.  When max_iter
     sweeps pass without that, the current estimates are still returned
     with converged=False.  Raises OracleUnavailable when the monic float
-    coefficients cannot be formed, a nonzero one underflowing to 0.0 too.
+    coefficients cannot be formed, a nonzero one underflowing to 0.0 too,
+    and when the residual at a root is not finite.
     """
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("root finding needs degree >= 1")
@@ -105,6 +106,8 @@ def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
 
     roots = tuple(sorted(z, key=lambda c: (c.real, c.imag)))
     max_residual = max(abs(_horner(mono, r)) for r in roots)
+    if not isfinite(max_residual):
+        raise OracleUnavailable("the root iteration left the float range")
     return RootSet(roots=roots, max_residual=max_residual, converged=converged)
 
 

@@ -35,15 +35,15 @@ Until the first degenerate row the array is built in integers, each row a
 list of integers over one positive denominator (the form `Polynomial` holds
 as `_ints` over `_denom`); the denominator being positive, an entry's sign
 is its integer's sign.  At the first all-zero row or zero first entry the
-rows built so far become Fractions and the recurrence goes on in Q(e).
-`RouthArray` keeps the rows as built and lifts them into EpsRat on reading.
+recurrence goes on in Q(e) from that row and the one above it, the only
+two it reads, which become Fractions.  `RouthArray` keeps every row in the
+form it was built in and lifts entries into EpsRat each time they are read.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -93,9 +93,10 @@ class SpecialEvent(NamedTuple):
 
 class RouthArray:
     """The array as built: `built` holds one (entries, denominator) pair
-    per row, integer entries over a positive denominator on an event-free
-    array, or Fraction and EpsRat entries over 1 once an event happened.
-    `rows` lifts them into EpsRat on first read."""
+    per row.  Rows are integers over a positive denominator until the
+    first degenerate row and the one above it, which hold Fraction and
+    EpsRat entries over 1, as every later row does.  `rows` and
+    `first_column` lift into EpsRat on every read."""
 
     def __init__(self, degree: int, built: tuple[tuple[list, int], ...],
                  events: tuple[SpecialEvent, ...], policy: Policy):
@@ -104,13 +105,13 @@ class RouthArray:
         self.events = events
         self.policy = policy
 
-    @cached_property
+    @property
     def rows(self) -> tuple[tuple[EpsRat, ...], ...]:
-        return tuple(_lift(row, d) for row, d in self.built)
+        return tuple(tuple(_lift(x, d) for x in row) for row, d in self.built)
 
     @property
     def first_column(self) -> tuple[EpsRat, ...]:
-        return tuple(row[0] for row in self.rows)
+        return tuple(_lift(row[0], d) for row, d in self.built)
 
     def row_power(self, index: int) -> int:
         return self.degree - index
@@ -190,18 +191,18 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
 
     events: list[SpecialEvent] = []
     if not rows[-1][0][0]:
-        # the first degenerate row: go on in Q(e).  Entries stay plain
-        # Fractions unless e reaches them, so a row may hold Fractions
-        # beside the EpsRats a remedy brought in; the EpsRat operators,
-        # reflected ones included, coerce them.
-        rows = [[Fraction(x, d) for x in row] for row, d in rows]
+        # the first degenerate row: go on in Q(e) from it and the row above
+        # it.  Entries stay plain Fractions unless e reaches them, so a row
+        # may hold Fractions beside the EpsRats a remedy brought in; the
+        # EpsRat operators, reflected ones included, coerce them.
+        field = [[Fraction(x, d) for x in row] for row, d in rows[-2:]]
         power = n + 1 - len(rows)
-        _remediate(rows[-1], power, rows[-2], policy, events)
+        _remediate(field[-1], power, field[-2], policy, events)
         for power in range(power - 1, -1, -1):
-            row = cross_multiply(rows[-2], rows[-1])
-            _remediate(row, power, rows[-1], policy, events)
-            rows.append(row)
-        rows = [(row, 1) for row in rows]
+            row = cross_multiply(field[-2], field[-1])
+            _remediate(row, power, field[-1], policy, events)
+            field.append(row)
+        rows[-2:] = [(row, 1) for row in field]
 
     if not all(row[0] for row, _ in rows):
         raise ArithmeticError("a first-column entry is zero after the remedies")
@@ -211,19 +212,17 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
 
 def cross_multiply(above2: Sequence, above: Sequence) -> list:
     """The row that follows `above2` and `above` by the cross-multiplication
-    rule, using only field arithmetic.  An entry past the end of `above`
-    reads as zero, which leaves the entry of `above2` unchanged; the row
-    after the s^0 row comes out empty."""
+    rule, as r2 - head*r1/pivot: three field operations.  An entry past
+    the end of `above` reads as zero, which leaves the entry of `above2`
+    unchanged; the row after the s^0 row comes out empty."""
     head, pivot = above2[0], above[0]
-    row = [(pivot * r2 - head * r1) / pivot
-           for r2, r1 in zip(above2[1:], above[1:])]
+    row = [r2 - head * r1 / pivot for r2, r1 in zip(above2[1:], above[1:])]
     row += above2[len(above):]
     return row
 
 
-def _lift(row, d: int) -> tuple[EpsRat, ...]:
-    return tuple(x if isinstance(x, EpsRat) else EpsRat.from_rational(Fraction(x, d))
-                 for x in row)
+def _lift(x, d: int) -> EpsRat:
+    return x if isinstance(x, EpsRat) else EpsRat.from_rational(Fraction(x, d))
 
 
 def _remediate(row: list, power: int, above: Sequence, policy: Policy,

@@ -121,6 +121,15 @@ class TestAnalyze:
         assert doc["oracle"] == {
             "unavailable": "the monic coefficients leave the float range"}
 
+    def test_oracle_residual_overflow_keeps_exact_verdict(self, capsys):
+        # the float coefficients exist, but Horner overflows at a root
+        code, out, err = run_cli(capsys, "analyze", "--coeffs",
+                                 "1,1e308,1e308,1", "--oracle")
+        assert (code, err) == (0, "")
+        assert "verdict: Stable\n" in out
+        assert out.endswith("oracle: unavailable "
+                            "(the root iteration left the float range)\n")
+
     def test_zero_denominator_in_term_form_is_parse_error(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "--coeffs", "1/0*s + 1")
         assert code == 65
@@ -195,6 +204,18 @@ class TestCompare:
         assert code == 0
         assert [r["agrees_with_oracle"] for r in doc["policies"]] == [None] * 3
         assert list(doc["oracle"]) == ["unavailable"]
+
+    def test_oracle_residual_overflow_leaves_agreement_open(self, capsys):
+        # the oracle used to count rhp=1 from an unevaluable root set, and
+        # every policy row read "agrees NO" with exit 1
+        code, out, err = run_cli(capsys, "compare", "--coeffs", "1,1e308,1e308,1")
+        assert (code, err) == (0, "")
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [r[:5] for r in rows[:3]] == [
+            [policy, "0", "0", "Stable", "-"]
+            for policy in ("single-eps", "eps-row", "derivative")]
+        assert rows[3][:4] == ["oracle", "-", "-", "unavailable:"]
+        assert out.endswith("the root iteration left the float range\n")
 
     def test_oracle_middle_underflow_leaves_agreement_open(self, capsys):
         # the oracle used to read s^2 + 1 (axis=2) here and agree by chance

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from routhkit import EPSILON, POLE_AT_ZERO, EpsPoly, EpsRat, Rational
-from conftest import random_eps_rat
+from routhkit import EPSILON, POLE_AT_ZERO, EpsPoly, EpsRat, Rational, exact_arith
+from conftest import random_eps_rat, random_fraction
 
 ONE = EpsRat.from_rational(1)
 ZERO = EpsRat.from_rational(0)
@@ -210,6 +210,58 @@ class TestFieldProperties:
             assert x.sign() == (1 if v > 0 else (-1 if v < 0 else 0))
 
 
+class TestOneReduction:
+    """Each result of + - * / is reduced to canonical form exactly once;
+    negation and from_rational start from canonical pairs and never are."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        canonicalize = exact_arith._canonicalize
+
+        def counting(num, den):
+            count[0] += 1
+            return canonicalize(num, den)
+
+        monkeypatch.setattr(exact_arith, "_canonicalize", counting)
+        return count
+
+    def test_once_per_nonzero_result(self, rng, calls):
+        ops = [
+            lambda a, b, q: a + b, lambda a, b, q: a - b,
+            lambda a, b, q: a * b, lambda a, b, q: a / b,
+            lambda a, b, q: a + q, lambda a, b, q: a - q,
+            lambda a, b, q: a * q, lambda a, b, q: a / q,
+            lambda a, b, q: q + a, lambda a, b, q: q - a,
+            lambda a, b, q: q * a, lambda a, b, q: q / a,
+        ]
+        checked = 0
+        for _ in range(300):
+            a, b = random_eps_rat(rng), random_eps_rat(rng)
+            q = random_fraction(rng)
+            for op in ops:
+                before = calls[0]
+                try:
+                    result = op(a, b, q)
+                except ZeroDivisionError:
+                    continue
+                assert calls[0] - before == (1 if result else 0)
+                checked += 1
+        assert checked > 3000
+
+    def test_negation_and_from_rational_never_reduce(self, rng, calls):
+        for _ in range(300):
+            a, q = random_eps_rat(rng), random_fraction(rng)
+            before = calls[0]
+            neg, lifted = -a, EpsRat.from_rational(q)
+            assert calls[0] == before
+            assert (neg.num, neg.den) == (-a.num, a.den)
+            assert (lifted.num.coeffs, lifted.den.coeffs) == (
+                ((q,) if q else ()), (1,))
+        before = calls[0]
+        assert (-EPSILON).sign() == -1 and calls[0] == before
+
+
 class TestEpsPoly:
     def test_degree_and_valuation(self):
         p = EpsPoly([0, 0, 5])
@@ -218,3 +270,21 @@ class TestEpsPoly:
 
     def test_trailing_zeros_stripped(self):
         assert EpsPoly([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
+
+    def test_coeff_outside_the_stored_range_is_zero(self):
+        p = EpsPoly._raw([2, 4], 4)
+        assert [p.coeff(k) for k in (-1, 0, 1, 2)] == [0, Fraction(1, 2), 1, 0]
+        assert p.lowest_coeff() == p.constant() == Fraction(1, 2)
+        assert EpsPoly().constant() == 0
+
+    @given(st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 12),
+           st.one_of(st.fractions(), st.integers(-50, 50)))
+    def test_evaluate_matches_fraction_horner(self, ints, denom, value):
+        while ints and not ints[-1]:
+            ints.pop()
+        p = EpsPoly._raw(ints, denom)   # unreduced forms included
+        acc = Fraction(0)
+        for c in reversed(p.coeffs):
+            acc = acc * value + c
+        assert p.evaluate(value) == acc
+        assert type(p.evaluate(value)) is Fraction

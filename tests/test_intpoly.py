@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from routhkit import Policy, PolicyUnsupported, build_array, intpoly
+from routhkit import (EpsPoly, Policy, PolicyUnsupported, Polynomial,
+                      build_array, intpoly)
 from routhkit.intpoly import (_int_div, _int_div_exact, _primitive, _prs_gcd,
                               _pseudo_rem, eval_homogeneous, gcd_cofactors)
 from conftest import ladder_families
@@ -128,3 +129,39 @@ class TestIntEvalHomogeneous:
         value = sum(Fraction(c) * Fraction(n, d) ** j for j, c in enumerate(coeffs))
         got = eval_homogeneous(coeffs, n, d)
         assert got == value * d ** (len(coeffs) - 1)
+
+
+@st.composite
+def raw_pairs(draw):
+    """Two `_raw` forms over small denominators; half the time the second
+    is the first scaled by a common factor, so the two are equal."""
+    ints = draw(st.lists(st.integers(-6, 6), max_size=4))
+    while ints and not ints[-1]:
+        ints.pop()
+    denom = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        other, other_denom = [c * k for c in ints], denom * k
+    else:
+        other = draw(st.lists(st.integers(-6, 6), max_size=4))
+        while other and not other[-1]:
+            other.pop()
+        other_denom = draw(st.integers(1, 6))
+    cls = draw(st.sampled_from((Polynomial, EpsPoly)))
+    return cls._raw(ints, denom), cls._raw(other, other_denom)
+
+
+class TestDensePolyEquality:
+    def test_unreduced_form_equals_reduced(self):
+        assert Polynomial._raw([2, 4], 2) == Polynomial([1, 2])
+        assert hash(Polynomial._raw([2, 4], 2)) == hash(Polynomial([1, 2]))
+        assert Polynomial._raw([2, 4], 2) != Polynomial([1, 2, 1])
+        assert Polynomial([1, 2]) != EpsPoly([1, 2])
+
+    @settings(max_examples=300)
+    @given(raw_pairs())
+    def test_agrees_with_fraction_coefficients(self, pair):
+        a, b = pair
+        assert (a == b) == (a.coeffs == b.coeffs)
+        if a == b:
+            assert hash(a) == hash(b)

@@ -122,9 +122,26 @@ class TestBuildArrayKernel:
         p, m = case
         array = build_array(p, Policy.DERIVATIVE_ROW)
         assert array.events[0].row_power == m
-        assert all(d == 1 for _, d in array.built)
+        # the rows above the two hand-over rows stay the integer rows over a
+        # positive denominator that an event-free build makes; from the row
+        # above the degenerate one on, every row is over 1
+        handover = p.degree - m - 1
+        assert all(type(x) is int for row, _ in array.built[:handover] for x in row)
+        assert all(type(d) is int and d > 0 for _, d in array.built[:handover])
+        assert all(d == 1 for _, d in array.built[handover:])
         for policy in POLICIES:
             assert_matches_reference(p, policy)
+
+    @pytest.mark.parametrize("policy", [Policy.EPSILON_ROW, Policy.DERIVATIVE_ROW])
+    def test_reads_store_nothing(self, policy):
+        # `rows` and `first_column` lift on every read and cache nothing
+        for p in ladder_families():
+            array = build_array(p, policy)
+            state = dict(vars(array))
+            rows, column = array.rows, array.first_column
+            assert column == tuple(row[0] for row in rows)
+            assert array.rows == rows
+            assert vars(array) == state
 
     def test_corpus_regular_path_lifts_on_read_only(self, monkeypatch):
         # classify reads the signs from the integer rows: no _lift at all,

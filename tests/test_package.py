@@ -126,15 +126,19 @@ class TestRecords:
     def test_oracle_summary_unavailable_defaults_to_none(self):
         assert OracleSummary(None, None, None).unavailable is None
 
-    def test_routh_array_construction_and_cached_rows(self):
+    def test_routh_array_construction_and_rows(self):
         args = (3, _ARRAY.built, (), Policy.AUTO)
         for array in (RouthArray(*args),
                       RouthArray(degree=3, built=_ARRAY.built, events=(),
                                  policy=Policy.AUTO)):
             assert (array.degree, array.built, array.events, array.policy) == args
-            assert array.rows is array.rows
+            state = dict(vars(array))
+            assert array.rows == array.rows
             assert array.rows == _ARRAY.rows
-        assert _ARRAY.rows is _ARRAY.rows
+            assert vars(array) == state
+        state = dict(vars(_ARRAY))
+        assert _ARRAY.rows == _ARRAY.rows
+        assert vars(_ARRAY) == state
 
     def test_corpus_summary_starts_empty(self):
         by_position = CorpusSummary(10, 8, 42, False)

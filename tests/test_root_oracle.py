@@ -76,6 +76,23 @@ class TestFindRoots:
         assert oracle.unavailable == "the monic coefficients leave the float range"
         assert oracle.root_set is oracle.counts is oracle.agreement is None
 
+    @pytest.mark.parametrize("coeffs", [
+        "1,1e308,1e308,1",  # Horner overflows at the large root: NaN
+        "1,1e200,1e200,1",  # the same one step further: NaN
+        "1e-300,1,1",       # a root near -1e300: the residual is inf
+    ])
+    def test_non_finite_residual_is_unavailable(self, coeffs):
+        # the float coefficients exist, but the roots cannot be evaluated:
+        # such a root set vouches for nothing
+        poly = Polynomial.parse(coeffs)
+        with pytest.raises(OracleUnavailable,
+                           match="the root iteration left the float range"):
+            find_roots(poly)
+        report = classify(poly, Policy.AUTO, with_oracle=True)
+        assert report.verdict.value == "Stable"
+        assert report.oracle_check.unavailable == \
+            "the root iteration left the float range"
+
     def test_residual_bound_on_corpus(self, rng):
         for _ in range(50):
             poly = Polynomial.from_roots(random_roots(rng, rng.randint(2, 8)))
