@@ -167,11 +167,16 @@ def run_corpus(count: int, max_degree: int, seed: int,
         if oracle.agreement and report.rhp_count == expected:
             summary.agreements += 1
         else:
+            # an oracle that cannot run has no count: the draw is recorded
+            # with the reason, as a policy refusal is
+            events = tuple(ev.kind.value for ev in report.events)
+            if oracle.counts is None:
+                events += (f"OracleUnavailable: {oracle.unavailable}",)
             summary.disagreements.append(Disagreement(
                 polynomial=str(poly),
                 routh_rhp=report.rhp_count,
-                oracle_rhp=oracle.counts.rhp,
+                oracle_rhp=-1 if oracle.counts is None else oracle.counts.rhp,
                 expected_rhp=expected,
                 roots=tuple(roots),
-                events=tuple(ev.kind.value for ev in report.events)))
+                events=events))
     return summary

@@ -5,16 +5,22 @@ H[i][j] = a_{n - 2j + i} (1-indexed; coefficients outside 0..n read as
 zero).  The polynomial is stable exactly when all n leading principal
 minors are positive.
 
-Minors come from one fraction-free (Bareiss) elimination pass over an
-integer-scaled copy of the matrix: after step k the (k, k) entry equals the
-(k+1)-th leading minor, and every intermediate division is exact (checked).
-A zero pivot stops the shared pass, in which case the remaining minors are
-computed as independent exact determinants with row pivoting.
+`hurwitz_stable` reads the minors from the Routh recurrence itself.  The
+polynomial holds integer coefficients over one positive denominator d
+(`_ints` over `_denom`), so d times the Hurwitz matrix is an integer
+matrix, and the k-th leading minor is its integer minor Delta_k over d^k.
+The fraction-free Routh recurrence on those integers
+(`intpoly.fraction_free_rows`, Sylvester's identity as in Bareiss, Math.
+Comp. 22, 1968) has exactly these Delta_k as its pivots, the first entries
+of its rows; one pass gives every minor, and `routh.build_array` runs the
+same pass.  A zero pivot stops it, and the minors after it are computed
+as independent exact determinants with row pivoting, except the last:
+the matrix's last column is (0, ..., 0, a_0), so Delta_n = a_0 Delta_{n-1}.
 
-`hurwitz_stable` never builds the Fraction matrix: the polynomial already
-holds integer coefficients over one positive denominator d (`_ints` over
-`_denom`), so d times the Hurwitz matrix is an integer matrix, and the k-th
-leading minor is its integer minor over d^k.
+`leading_minors` takes any `ExactMatrix` and keeps one Bareiss elimination
+pass over an integer-scaled copy: after step k the (k, k) entry equals the
+(k+1)-th leading minor, and every intermediate division is exact
+(checked); after a zero pivot every remaining minor is a determinant.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import DegreeTooSmall, OriginRoot
+from .intpoly import fraction_free_rows
 from .polynomial import Polynomial
 
 
@@ -63,27 +70,38 @@ def leading_minors(m: ExactMatrix) -> tuple[Fraction, ...]:
         mult = lcm(*(c.denominator for c in row))
         scales.append(mult)
         work.append([c.numerator * (mult // c.denominator) for c in row])
-    return _scaled_minors(work, scales)
+    # row i of the matrix is work[i] / scales[i]
+    minors = []
+    acc = 1
+    for v, scale in zip(_bareiss_leading_minors(work), scales):
+        acc *= scale
+        minors.append(Fraction(v, acc))
+    return tuple(minors)
 
 
 def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
-    """Stable iff every leading principal minor is positive."""
+    """Stable iff every leading principal minor is positive.
+
+    The minors are the pivots of the fraction-free Routh recurrence on p's
+    integer coefficients, read up to the first zero pivot; the minors
+    after it are determinants of the integer Hurwitz matrix, except the
+    last, Delta_n = a_0 Delta_{n-1}.
+    """
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("stability test needs degree >= 1")
     if not p._ints[0]:
         raise OriginRoot("constant term is zero; strip origin roots first")
-    minors = _scaled_minors(_integer_matrix(p), [p._denom] * p.degree)
+    if p._ints[-1] < 0:
+        raise ValueError("leading coefficient must be positive; normalize first")
+    n, top, d = p.degree, p._ints[::-1], p._denom
+    ints = [row[0] for row in fraction_free_rows(top[0::2], top[1::2], n + 1)[1:]]
+    if len(ints) < n:
+        a = _integer_matrix(p)
+        ints += [_det_int([row[:t] for row in a[:t]])
+                 for t in range(len(ints) + 1, n)]
+        ints.append(p._ints[0] * ints[-1])
+    minors = tuple(Fraction(m, d ** k) for k, m in enumerate(ints, 1))
     return HurwitzDecision(stable=all(v > 0 for v in minors), minors=minors)
-
-
-def _scaled_minors(work: list[list[int]], scales: list[int]) -> tuple[Fraction, ...]:
-    """Leading minors of the matrix whose row i is work[i] / scales[i]."""
-    minors = []
-    acc = 1
-    for m, scale in zip(_bareiss_leading_minors(work), scales):
-        acc *= scale
-        minors.append(Fraction(m, acc))
-    return tuple(minors)
 
 
 def _bareiss_leading_minors(a: list[list[int]]) -> list[int]:

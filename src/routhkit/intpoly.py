@@ -4,10 +4,11 @@
 A polynomial is held as a list of integer coefficients ascending by power,
 with no trailing zero (the `_ints` form), over one shared positive
 denominator, the only form a `DensePoly` stores.  The functions below take
-and return such lists: primitive part, gcd with cofactors (GCDHEU, then
-the primitive PRS), exact and pseudo division, and Horner evaluation at an
-integer or, homogeneously, at a rational point.  They never mutate their
-inputs.
+and return such lists: product, primitive part, gcd with cofactors
+(GCDHEU, then the primitive PRS), exact and pseudo division, Horner
+evaluation at an integer or, homogeneously, at a rational point, and the
+fraction-free Routh recurrence over Z and Z[x] that `routh`, `hurwitz` and
+`sweep` share.  They never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -81,14 +82,7 @@ class DensePoly:
             a = [c * ma for c in a]
             b = [c * mb for c in b]
             denom *= ma
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        while out and not out[-1]:
-            out.pop()
-        return type(self)._raw(out, denom)
+        return type(self)._raw(_poly_add(a, b), denom)
 
     def __neg__(self):
         return type(self)._raw([-c for c in self._ints], self._denom)
@@ -101,16 +95,8 @@ class DensePoly:
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        a, b = self._ints, other._ints
-        if not a or not b:
-            return type(self)()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    out[j] += ca * cb
-        # a product of nonzero leading coefficients is nonzero
-        return type(self)._raw(out, self._denom * other._denom)
+        return type(self)._raw(poly_mul(self._ints, other._ints),
+                               self._denom * other._denom)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -141,6 +127,31 @@ class DensePoly:
             else:
                 out = "-" + body if c < 0 else body
         return out or "0"
+
+
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    """Sum of two integer polynomials, with no trailing zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials; empty when either is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    # a product of nonzero leading coefficients is nonzero
+    return out
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -256,12 +267,26 @@ def _int_div(a: list[int], b: list[int]) -> list[int] | None:
 
 
 def _int_div_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (b divides a over Q and, being
-    primitive, over Z); raises ArithmeticError otherwise."""
+    """Exact quotient of integer polynomials over Z; raises ArithmeticError
+    when b does not divide a there."""
+    if len(b) == 1:
+        return _scalar_div_exact(a, b[0])
     q = _int_div(a, b)
     if q is None:
         raise ArithmeticError("non-exact polynomial division")
     return q
+
+
+def _scalar_div_exact(a: list, c: int) -> list[int]:
+    """Every integer of a divided by c; raises ArithmeticError unless each
+    division is exact."""
+    out = []
+    for x in a:
+        q, r = divmod(x, c)
+        if r:
+            raise ArithmeticError(f"{x} is not a multiple of {c}")
+        out.append(q)
+    return out
 
 
 def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -279,3 +304,66 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
         while r and r[-1] == 0:
             r.pop()
     return r
+
+
+# -- the fraction-free Routh recurrence -------------------------------------
+
+def sylvester_row(f2: list[int], f1: list[int], div: int | None) -> list[int]:
+    """The Routh row after the integer rows f2 and f1, fraction-free:
+    (f1[0]*f2[j+1] - f2[0]*f1[j+1]) / div for each j, an entry past the end
+    of f1 reading as zero.  `div` is the pivot two rows above f2, or None
+    where that pivot is 1; a division that is not exact raises
+    ArithmeticError."""
+    head, pivot = f2[0], f1[0]
+    row = [pivot * b - head * a for b, a in zip(f2[1:], f1[1:])]
+    row += [pivot * b for b in f2[len(f1):]]
+    return row if div is None else _scalar_div_exact(row, div)
+
+
+def sylvester_row_poly(f2: list[list[int]], f1: list[list[int]],
+                       div: list[int] | None) -> list[list[int]]:
+    """`sylvester_row` over Z[x]: each entry and `div` is an integer
+    polynomial in the `_ints` form."""
+    head, pivot = [-c for c in f2[0]], f1[0]
+    row = [_poly_add(poly_mul(pivot, b), poly_mul(head, a))
+           for b, a in zip(f2[1:], f1[1:])]
+    row += [poly_mul(pivot, b) for b in f2[len(f1):]]
+    return row if div is None else [_int_div_exact(x, div) for x in row]
+
+
+def fraction_free_rows(f0: list, f1: list, count: int,
+                       step=sylvester_row) -> list[list]:
+    """The fraction-free Routh rows F_0, F_1, F_2, ... that start from f0
+    and f1, up to `count` rows; the list stops early after the first row
+    whose first entry is zero.
+
+    F_{k+1} = step(F_{k-1}, F_k, Delta_{k-2}) with Delta_m = F_m[0] and
+    Delta_0 = Delta_{-1} = 1.  By Sylvester's identity (Bareiss, Math.
+    Comp. 22, 1968) Delta_m is the m-th leading minor of the Hurwitz matrix
+    of the polynomial whose descending coefficients interleave f0 and f1,
+    so every division is exact; the true Routh row k is F_k / Delta_{k-1},
+    up to the scale of f0 (k even) or f1 (k odd).  `step` is
+    `sylvester_row` over Z or `sylvester_row_poly` over Z[x].
+    """
+    rows = [f0, f1]
+    while len(rows) < count and rows[-1][0]:
+        k = len(rows)
+        rows.append(step(rows[-2], rows[-1], rows[k - 3][0] if k > 3 else None))
+    return rows
+
+
+def cancel_gcd(polys: list[list[int]]) -> list[list[int]]:
+    """The integer polynomials divided by their gcd in Z[x], the content
+    included; zero polynomials stay zero, and at least one must be
+    nonzero."""
+    nonzero = sorted((q for q in polys if q), key=len)
+    c = gcd(*(x for q in nonzero for x in q))
+    g = [1]
+    if len(nonzero[0]) > 1:
+        g = _primitive(nonzero[0])
+        for q in nonzero[1:]:
+            g = gcd_cofactors(g, _primitive(q))[0]
+            if len(g) == 1:
+                break
+    g = [c * x for x in g]
+    return polys if g == [1] else [_int_div_exact(q, g) for q in polys]

@@ -31,13 +31,29 @@ How each is repaired is the selectable :class:`Policy`:
 The number of sign changes down the first column equals the number of roots
 in the open right half-plane.
 
-Until the first degenerate row the array is built in integers, each row a
-list of integers over one positive denominator (the form `Polynomial` holds
-as `_ints` over `_denom`); the denominator being positive, an entry's sign
-is its integer's sign.  At the first all-zero row or zero first entry the
-recurrence goes on in Q(e) from that row and the one above it, the only
-two it reads, which become Fractions.  `RouthArray` keeps every row in the
-form it was built in and lifts entries into EpsRat each time they are read.
+How the array is stored.  The rows are built fraction-free
+(`intpoly.fraction_free_rows`): stored row k is F_k, and
+
+    F_{k+1}[j] = (F_k[0]*F_{k-1}[j+1] - F_{k-1}[0]*F_k[j+1]) / Delta_{k-2}
+
+with Delta_m = F_m[0] and Delta_0 = Delta_{-1} = 1.  By Sylvester's identity
+every division is exact, and Delta_k is the k-th leading minor of the
+Hurwitz matrix of p's integer coefficients (`_ints`, over the denominator
+d), so the pivots are the minors: for k >= 1, r[k][0] = Delta_k/(d
+Delta_{k-1}) is the classical c_k = Delta_k/Delta_{k-1} of the true minors
+(Gantmacher, The Theory of Matrices, vol. 2, ch. XV).  The true row k is
+F_k/(d Delta_{k-1}).
+
+Entries are integers until e enters the array.  A repair starts a new
+segment of the same recurrence from the row above and the repaired row,
+over Z until e enters and over Z[e] (integer coefficient lists in e) from
+then on.  Each of the two is divided by the gcd of its entries and its
+divisor, so its divisor P is the lcm of its entries' reduced denominators,
+and the segment's row m is F_m/(P Delta_{m-1}), P being the divisor of the
+start row of m's parity and Delta the segment's own pivots.
+`RouthArray.built` holds each row as (F, divisor); a sign is
+sign(F[0]) * sign(divisor), each the limit as e -> 0+, and `rows` builds
+the canonical EpsRat of each entry when read.
 """
 
 from __future__ import annotations
@@ -45,14 +61,16 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 from .errors import (DegreeTooSmall, EpsContaminatedRow, OracleUnavailable,
                      OriginRoot, PolicyUnsupported)
-from .exact_arith import EPSILON, EpsRat
+from .intpoly import (cancel_gcd, fraction_free_rows, poly_mul, sylvester_row,
+                      sylvester_row_poly)
 from .polynomial import Polynomial
 
 if TYPE_CHECKING:
+    from .exact_arith import EpsRat
     from .root_oracle import HalfPlaneCounts, RootSet
 
 
@@ -92,13 +110,13 @@ class SpecialEvent(NamedTuple):
 
 
 class RouthArray:
-    """The array as built: `built` holds one (entries, denominator) pair
-    per row.  Rows are integers over a positive denominator until the
-    first degenerate row and the one above it, which hold Fraction and
-    EpsRat entries over 1, as every later row does.  `rows` and
-    `first_column` lift into EpsRat on every read."""
+    """The array as built: `built` holds one (entries, divisor) pair per
+    row, the true entries being entry/divisor.  Both are integers until e
+    enters the array and integer coefficient lists in e from then on.
+    `rows` and `first_column` build the canonical EpsRat of each entry on
+    every read."""
 
-    def __init__(self, degree: int, built: tuple[tuple[list, int], ...],
+    def __init__(self, degree: int, built: tuple[tuple[list, Any], ...],
                  events: tuple[SpecialEvent, ...], policy: Policy):
         self.degree = degree
         self.built = built
@@ -107,11 +125,11 @@ class RouthArray:
 
     @property
     def rows(self) -> tuple[tuple[EpsRat, ...], ...]:
-        return tuple(tuple(_lift(x, d) for x in row) for row, d in self.built)
+        return tuple(_entries(row, div) for row, div in self.built)
 
     @property
     def first_column(self) -> tuple[EpsRat, ...]:
-        return tuple(_lift(row[0], d) for row, d in self.built)
+        return tuple(_entries(row[:1], div)[0] for row, div in self.built)
 
     def row_power(self, index: int) -> int:
         return self.degree - index
@@ -152,7 +170,7 @@ def auxiliary_polynomial(row: Sequence[EpsRat | Fraction], power: int) -> Polyno
         k = power - 2 * j
         if k < 0:
             raise ValueError(f"row of {len(row)} entries is too long for power {power}")
-        if isinstance(entry, EpsRat):
+        if not isinstance(entry, (int, Fraction)):
             if not entry.is_eps_free:
                 raise EpsContaminatedRow(
                     f"entry {entry} of the s^{power} auxiliary row is not eps-free")
@@ -176,84 +194,117 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
 
     n = p.degree
     top, d = p._ints[::-1], p._denom
-    rows = [(top[0::2], d), (top[1::2], d)]
-    # row i+2 from rows i and i+1 over the integers, while no event happens
-    while rows[-1][0][0] and len(rows) <= n:
-        (f2, d2), (f1, _) = rows[-2], rows[-1]
-        head, pivot = f2[0], f1[0]
-        g = [pivot * b - head * a for b, a in zip(f2[1:], f1[1:])]
-        g += [pivot * b for b in f2[len(f1):]]
-        den = d2 * pivot
-        if den < 0:
-            den, g = -den, [-x for x in g]
-        c = gcd(den, *g)
-        rows.append(([x // c for x in g], den // c))
-
+    f0, f1, scales = top[0::2], top[1::2], (d, d)
+    built: list[tuple[list, Any]] = []
     events: list[SpecialEvent] = []
-    if not rows[-1][0][0]:
-        # the first degenerate row: go on in Q(e) from it and the row above
-        # it.  Entries stay plain Fractions unless e reaches them, so a row
-        # may hold Fractions beside the EpsRats a remedy brought in; the
-        # EpsRat operators, reflected ones included, coerce them.
-        field = [[Fraction(x, d) for x in row] for row, d in rows[-2:]]
-        power = n + 1 - len(rows)
-        _remediate(field[-1], power, field[-2], policy, events)
-        for power in range(power - 1, -1, -1):
-            row = cross_multiply(field[-2], field[-1])
-            _remediate(row, power, field[-1], policy, events)
-            field.append(row)
-        rows[-2:] = [(row, 1) for row in field]
-
-    if not all(row[0] for row, _ in rows):
-        raise ArithmeticError("a first-column entry is zero after the remedies")
-    return RouthArray(degree=n, built=tuple(rows), events=tuple(events),
-                      policy=policy)
+    while True:
+        # one segment: its row m is F_m over scales[m % 2] * Delta_{m-1}
+        if type(scales[0]) is int:
+            step, times = sylvester_row, int.__mul__
+        else:
+            step, times = sylvester_row_poly, poly_mul
+        chain = fraction_free_rows(f0, f1, n + 1 - len(built), step)
+        built += [(f, scales[m & 1] if m < 2
+                   else times(scales[m & 1], chain[m - 1][0]))
+                  for m, f in enumerate(chain)]
+        if built[-1][0][0]:
+            return RouthArray(degree=n, built=tuple(built), events=tuple(events),
+                              policy=policy)
+        f0, f1, scales = _restart(built, n + 1 - len(built), policy, events)
 
 
-def cross_multiply(above2: Sequence, above: Sequence) -> list:
-    """The row that follows `above2` and `above` by the cross-multiplication
-    rule, as r2 - head*r1/pivot: three field operations.  An entry past
-    the end of `above` reads as zero, which leaves the entry of `above2`
-    unchanged; the row after the s^0 row comes out empty."""
-    head, pivot = above2[0], above[0]
-    row = [r2 - head * r1 / pivot for r2, r1 in zip(above2[1:], above[1:])]
-    row += above2[len(above):]
-    return row
+def _restart(built: list, power: int, policy: Policy,
+             events: list[SpecialEvent]) -> tuple[list, list, tuple]:
+    """Repair the degenerate last row of `built` (the s^power row),
+    recording one event, and take it and the row above off `built`.
 
-
-def _lift(x, d: int) -> EpsRat:
-    return x if isinstance(x, EpsRat) else EpsRat.from_rational(Fraction(x, d))
-
-
-def _remediate(row: list, power: int, above: Sequence, policy: Policy,
-               events: list[SpecialEvent]) -> None:
-    """Repair a degenerate row in place, recording one event."""
+    Returns the two as the start of a new segment, each divided by the gcd
+    of its entries and its divisor, with the divisors made positive as
+    e -> 0+: so each divisor is the lcm of the reduced denominators of its
+    row's entries.  The segment runs over Z until e enters the array and
+    over Z[e] from then on.
+    """
+    (above, p_above), (row, p_row) = built[-2:]
     if not any(row):
         if policy is Policy.SINGLE_EPSILON:
             raise PolicyUnsupported(
                 f"single-eps policy cannot handle the all-zero s^{power} row")
         if policy is Policy.EPSILON_ROW:
-            row[:] = [EPSILON] * len(row)
+            row, p_row = [[0, 1]] * len(row), [1]
             events.append(SpecialEvent(EventKind.ZERO_ROW, power,
                                        "replaced every entry with e"))
-            return
-        aux = auxiliary_polynomial(above, power + 1)
-        deriv = aux.derivative()
-        row[:] = [deriv.coeff(power - 2 * j) for j in range(len(row))]
-        events.append(SpecialEvent(
-            EventKind.ZERO_ROW, power,
-            f"substituted coefficients of derivative {deriv} "
-            f"of auxiliary polynomial {aux}"))
-    elif not row[0]:
-        row[0] = EPSILON
+        else:
+            aux = auxiliary_polynomial(
+                [Fraction(x, p_above) for x in above] if type(p_above) is int
+                else _entries(above, p_above), power + 1)
+            deriv = aux.derivative()
+            row, p_row = deriv._ints[power::-2], deriv._denom
+            events.append(SpecialEvent(
+                EventKind.ZERO_ROW, power,
+                f"substituted coefficients of derivative {deriv} "
+                f"of auxiliary polynomial {aux}"))
+    else:
+        if type(p_row) is int:
+            row, p_row = _in_e(row), [p_row]
+        row = [[0, *p_row], *row[1:]]
         events.append(SpecialEvent(EventKind.ZERO_FIRST_ELEMENT, power,
                                    "replaced leading zero with e"))
+    del built[-2:]
+    if type(p_above) is int and type(p_row) is int:
+        (f0, s0), (f1, s1) = _reduced(above, p_above), _reduced(row, p_row)
+    else:
+        (f0, s0), (f1, s1) = _reduced_e(above, p_above), _reduced_e(row, p_row)
+    return f0, f1, (s0, s1)
+
+
+def _reduced(row: list[int], div: int) -> tuple[list[int], int]:
+    """An integer row and its divisor over their gcd, the divisor positive."""
+    g = gcd(*row, div)
+    if div < 0:
+        g = -g
+    return [x // g for x in row], div // g
+
+
+def _reduced_e(row: list, div) -> tuple[list, list[int]]:
+    """`_reduced` over Z[e]; an integer row is taken into Z[e] first."""
+    if type(div) is int:
+        row, div = _in_e(row), [div]
+    *row, div = cancel_gcd([*row, div])
+    if _lowest(div) < 0:
+        row, div = [[-c for c in x] for x in row], [-c for c in div]
+    return row, div
+
+
+def _in_e(row: list[int]) -> list[list[int]]:
+    return [[x] if x else [] for x in row]
+
+
+def _entries(row: list, div) -> tuple[EpsRat, ...]:
+    """The canonical values of a stored row's entries over its divisor."""
+    # the field Q(e) is loaded when an entry is first read: building an
+    # array, its signs and its verdict never need it
+    from .exact_arith import EpsPoly, EpsRat
+    if type(div) is int:
+        return tuple(EpsRat.from_rational(Fraction(x, div)) for x in row)
+    den = EpsPoly._raw(div, 1)
+    return tuple(EpsRat(EpsPoly._raw(x, 1), den) for x in row)
+
+
+def _lowest(x: list[int]) -> int:
+    """The lowest-order nonzero coefficient of a polynomial in e, whose
+    sign is the polynomial's sign as e -> 0+."""
+    return next(c for c in x if c)
 
 
 def count_sign_changes(array: RouthArray) -> tuple[tuple[int, ...], int]:
     """First-column signs (each +1/-1) and the number of adjacent flips."""
-    signs = tuple(row[0].sign() if isinstance(row[0], EpsRat)
-                  else 1 if row[0] > 0 else -1 for row, _ in array.built)
+    column = []
+    for row, div in array.built:
+        x = row[0]
+        if type(div) is not int:
+            x, div = _lowest(x), _lowest(div)
+        column.append(1 if (x > 0) == (div > 0) else -1)
+    signs = tuple(column)
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return signs, changes
 

@@ -5,30 +5,33 @@ sweep takes N exact rational samples over [lo, hi], gives each a verdict,
 and merges consecutive Stable samples into intervals.  Interval endpoints
 are the first and last stable sample values, i.e. accurate to one step.
 
-Method.  The Routh first column is built once, over Q(K): the `EpsRat`
-field with its symbol standing for K, through `routh.cross_multiply`, the
-step `routh.build_array` takes in Q(e), with field arithmetic and zero
-tests only.  A sample K = N/D (unreduced, D > 0) then reads the sign of
-every entry from one integer homogeneous Horner value of the product of
-its reduced numerator and denominator, which vanishes exactly where one of
-them does.
-When no value vanishes, the sample is Unstable if the signs change down the
-column and Stable otherwise.
+Method.  The Routh first column is read from the leading Hurwitz minors,
+computed once, over Z[K]: the template's coefficients over their common
+denominator D, K standing for the polynomial D*K, go through the same
+fraction-free recurrence (`intpoly.fraction_free_rows`) as
+`routh.build_array`, with exact divisions in Z[K].  Its pivots are
+Delta_m(K), the m-th leading minor of the Hurwitz matrix times D^m.  A
+sample K = N/D' (unreduced, D' > 0) reads the sign of each of a_n(K) and
+Delta_1(K) .. Delta_n(K) from one integer homogeneous Horner value.  When
+none vanishes, the column entries are a_n, then Delta_m/(D Delta_{m-1})
+(Delta_0 = 1): the signs do not change down the column exactly when a_n
+and the odd minors share a sign and the even minors are positive.  The
+sample is then Stable, and Unstable otherwise.
 
-Why that is exact.  Take the ring of rational functions in K whose reduced
-denominator does not vanish at k.  The first two rows lie in it; if a pivot
-is a unit there (numerator and denominator nonzero at k), the next row does
-too, and substituting K = k commutes with the step.  So the array of the
-sample is the symbolic array evaluated at k, and its first column has no
-zero: no event is raised.  The column's first and last entries are a_n and
-a_0, so the sample keeps the template's degree and has no origin root.  A
-negative leading coefficient only negates every row.  The verdict is
-therefore the one `classify` gives, under every policy.
+Why that is exact.  Each Delta_m(K) is, by Sylvester's identity, a
+determinant whose entries are the template's coefficients, so substituting
+K = k commutes with it: Delta_m(k) is the minor of the sample's own
+Hurwitz matrix.  If a_n(k) and every Delta_m(k) are nonzero, every pivot
+Delta_m/Delta_{m-1} of the sample's array is nonzero and no event is
+raised; the sample keeps the template's degree, and Delta_n = a_0
+Delta_{n-1} rules out an origin root.  A negative leading coefficient only
+negates every row.  The verdict is therefore the one `classify` gives,
+under every policy.
 
-Fallbacks.  A sample at which some numerator or denominator vanishes goes
-through `classify` on its own polynomial.  A template whose symbolic column
-meets a zero first entry (an all-zero row included), such as `1,0,K`, sends
-every sample there.  On that path a sample whose degree falls below the
+Fallbacks.  A sample at which a_n or some minor vanishes goes through
+`classify` on its own polynomial.  A template with a minor that is the zero
+polynomial, such as `1,0,K` (an all-zero row included), sends every sample
+there.  On that path a sample whose degree falls below the
 template's (a zero K in the leading slot) belongs to another polynomial
 family, and a sample that the policy refuses has no verdict; both read
 Undetermined.
@@ -37,13 +40,13 @@ Undetermined.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Optional
 
 from .errors import MultipleParameters, NoParameter, PolicyUnsupported
-from .exact_arith import EPSILON, EpsRat
-from .intpoly import eval_homogeneous
+from .intpoly import eval_homogeneous, fraction_free_rows, sylvester_row_poly
 from .polynomial import Polynomial, parse_coefficient_list
-from .routh import Policy, Verdict, classify, cross_multiply
+from .routh import Policy, Verdict, classify
 
 
 class SweepResult(NamedTuple):
@@ -67,18 +70,19 @@ def parse_template(text: str) -> list[Optional[Fraction]]:
 
 
 def _column_polynomials(descending: list) -> Optional[list[list[int]]]:
-    """For each entry of the Routh first column over Q(K), the integer
-    polynomial num*den in K, whose sign at a point is the entry's sign.
-    None when the symbolic column meets a zero first entry."""
-    entries = [EPSILON if c is None else EpsRat.from_rational(c) for c in descending]
-    above, row = entries[0::2], entries[1::2]
-    column = [above[0]]
-    while row:
-        if not row[0]:
-            return None
-        column.append(row[0])
-        above, row = row, cross_multiply(above, row)
-    return [(entry.num * entry.den)._ints for entry in column]
+    """a_n and the leading Hurwitz minors Delta_1 .. Delta_n of the template,
+    as integer polynomials in K scaled by powers of D (see the module
+    docstring).  None when some minor is the zero polynomial."""
+    d = lcm(*(c.denominator for c in descending if c is not None))
+    ints = [[0, d] if c is None else [c.numerator * (d // c.denominator)] if c
+            else [] for c in descending]
+    if len(ints) == 1:
+        return ints
+    rows = fraction_free_rows(ints[0::2], ints[1::2], len(ints),
+                              sylvester_row_poly)
+    if not rows[-1][0]:
+        return None
+    return [row[0] for row in rows]
 
 
 def _classified(slots: list[Optional[Fraction]], value: Fraction, degree: int,
@@ -113,10 +117,14 @@ def run_sweep(template_text: str, lo: Fraction, hi: Fraction, steps: int,
     for i in range(steps):
         n = lo_n * (m - i) + hi_n * i
         value = Fraction(n, d)
-        signs = polys and [eval_homogeneous(p, n, d) for p in polys]
-        if signs and all(signs):
-            changes = any((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
-            verdict = (Verdict.UNSTABLE if changes else Verdict.STABLE).value
+        values = polys and [eval_homogeneous(p, n, d) for p in polys]
+        if values and all(values):
+            # no sign change down a_n, Delta_1, Delta_2/Delta_1, ...: a_n
+            # and the odd minors share a sign, and the even ones are positive
+            negative = values[0] < 0
+            stable = (all((v < 0) == negative for v in values[1::2])
+                      and all(v > 0 for v in values[2::2]))
+            verdict = (Verdict.STABLE if stable else Verdict.UNSTABLE).value
         else:
             verdict = _classified(slots, value, degree, policy)
         samples.append((value, verdict))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from routhkit import Lcg64
-from routhkit.corpus import random_roots
+from routhkit import Lcg64, OracleUnavailable, root_oracle
+from routhkit.corpus import random_roots, run_corpus
 
 
 def test_lhp_only_draws_terminate_at_high_degree():
@@ -29,3 +29,20 @@ def test_roots_lie_on_the_grid():
         for r in random_roots(rng, degree):
             assert (r.real * grid).is_integer() and (r.imag * grid).is_integer()
             assert 1 / grid <= abs(r.real) <= 3.5 and abs(r) <= 5
+
+
+def test_unavailable_oracle_is_a_recorded_disagreement(monkeypatch):
+    # a draw the float oracle cannot evaluate has no oracle count: it is
+    # recorded with the reason, not a crash on the missing count
+    def unavailable(p, max_iter=1000):
+        raise OracleUnavailable("the monic coefficients leave the float range")
+
+    monkeypatch.setattr(root_oracle, "find_roots", unavailable)
+    summary = run_corpus(3, 6, 1)
+    assert summary.agreements == 0
+    assert len(summary.disagreements) == 3
+    for item in summary.disagreements:
+        assert item.oracle_rhp == -1
+        assert item.routh_rhp == item.expected_rhp
+        assert item.events[-1] == ("OracleUnavailable: the monic "
+                                   "coefficients leave the float range")

@@ -1,9 +1,9 @@
 """Differential checks of the integer kernels against plain exact references.
 
-`build_array` runs in integer rows until the first degenerate row and then
-keeps e-free entries as Fractions beside EpsRats, and `Polynomial.from_roots`
-expands over the integers; both must give exactly what the textbook
-formulas give over EpsRat and Fraction.
+`build_array` runs the fraction-free Routh recurrence in integer rows until
+the first degenerate row and in Z[e] rows after it, and
+`Polynomial.from_roots` expands over the integers; both must give exactly
+what the textbook formulas give over EpsRat and Fraction.
 """
 
 from __future__ import annotations
@@ -15,20 +15,55 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from routhkit import (EpsRat, Lcg64, Policy, PolicyUnsupported, Polynomial,
+from routhkit import (EPSILON, EpsContaminatedRow, EpsRat, EventKind, Lcg64,
+                      Policy, PolicyUnsupported, Polynomial, SpecialEvent,
                       auxiliary_polynomial, build_array, classify,
-                      count_sign_changes)
+                      count_sign_changes, hurwitz_matrix, hurwitz_stable,
+                      leading_minors)
 from routhkit.corpus import random_polynomial, random_roots
-from routhkit.routh import _remediate
 from routhkit import exact_arith, intpoly, routh
+from routhkit.intpoly import (fraction_free_rows, sylvester_row,
+                              sylvester_row_poly)
 from conftest import ladder_families
 
 POLICIES = (Policy.SINGLE_EPSILON, Policy.EPSILON_ROW, Policy.DERIVATIVE_ROW)
 
 
+def reference_remedy(row: list, power: int, above: tuple, policy: Policy,
+                     events: list) -> None:
+    """The remedies of the textbook, over EpsRat, repairing `row` in place.
+    A zero row under the derivative rule becomes d/ds of the auxiliary
+    polynomial sum above[j] s^(power + 1 - 2j), that is
+    (power + 1 - 2j) * above[j]."""
+    if not any(row):
+        if policy is Policy.SINGLE_EPSILON:
+            raise PolicyUnsupported(f"all-zero s^{power} row")
+        if policy is Policy.EPSILON_ROW:
+            row[:] = [EPSILON] * len(row)
+            events.append(SpecialEvent(EventKind.ZERO_ROW, power,
+                                       "replaced every entry with e"))
+            return
+        if not all(e.is_eps_free for e in above):
+            raise EpsContaminatedRow(f"s^{power + 1} row carries e")
+        aux = [Fraction(0)] * (power + 2)
+        for j, e in enumerate(above):
+            aux[power + 1 - 2 * j] = e.as_fraction()
+        deriv = [k * c for k, c in enumerate(aux)][1:]
+        row[:] = [EpsRat.from_rational(deriv[power - 2 * j])
+                  for j in range(len(row))]
+        events.append(SpecialEvent(
+            EventKind.ZERO_ROW, power,
+            f"substituted coefficients of derivative {Polynomial(deriv)} "
+            f"of auxiliary polynomial {Polynomial(aux)}"))
+    elif not row[0]:
+        row[0] = EPSILON
+        events.append(SpecialEvent(EventKind.ZERO_FIRST_ELEMENT, power,
+                                   "replaced leading zero with e"))
+
+
 def reference_array(p: Polynomial, policy: Policy):
     """Rows and events by the cross-multiplication rule, entry by entry
-    over EpsRat, with the builder's own remedies."""
+    over EpsRat, with the remedies above."""
     n, rows, events = p.degree, [], []
     for power in range(n, -1, -1):
         if power >= n - 1:
@@ -38,8 +73,8 @@ def reference_array(p: Polynomial, policy: Policy):
             row = [(a1[0] * a2[j + 1] - a2[0] * (a1[j + 1] if j + 1 < len(a1) else 0)) / a1[0]
                    for j in range(power // 2 + 1)]
         if power < n:
-            _remediate(row, power, rows[-1], policy, events)
-        rows.append(tuple(e if isinstance(e, EpsRat) else EpsRat.from_rational(e) for e in row))
+            reference_remedy(row, power, rows[-1], policy, events)
+        rows.append(tuple(row))
     return tuple(rows), tuple(events)
 
 
@@ -51,7 +86,7 @@ def assert_matches_reference(p: Polynomial, policy: Policy) -> None:
             build_array(p, policy)
         return
     array = build_array(p, policy)
-    # the signs come from the stored rows, before any lift
+    # the signs come from the stored rows, before any EpsRat is built
     assert count_sign_changes(array)[0] == tuple(row[0].sign() for row in rows)
     assert array.rows == rows
     assert [[str(e) for e in row] for row in array.rows] == \
@@ -85,6 +120,20 @@ def rational_polynomials(draw) -> Polynomial:
 
 
 @st.composite
+def sparse_polynomials(draw) -> Polynomial:
+    """Integer polynomials of degree <= 10 with nonzero a_0 and a_n and
+    drawn coefficients in between forced to zero, so that zero first
+    entries and zero rows come one after another and a chain restarts
+    several times."""
+    n = draw(st.integers(1, 10))
+    coeffs = draw(st.lists(st.integers(-4, 4).filter(bool),
+                           min_size=n + 1, max_size=n + 1))
+    for k in draw(st.sets(st.integers(1, n - 1), max_size=n)) if n > 1 else ():
+        coeffs[k] = 0
+    return normalized(Polynomial(coeffs))
+
+
+@st.composite
 def degenerate_after_prefix(draw) -> tuple[Polynomial, int]:
     """(p, m): p's array is event-free down to its s^m row, whose first
     entry is zero (the whole row, at times), after up to 9 regular rows.
@@ -107,34 +156,70 @@ def degenerate_after_prefix(draw) -> tuple[Polynomial, int]:
     return (-p if p.leading_coefficient < 0 else p), m
 
 
+def assert_minors_from_pivots(p: Polynomial) -> None:
+    """hurwitz_stable's minors, read from the recurrence's pivots, equal
+    the minors of the Hurwitz matrix by Bareiss elimination."""
+    assert hurwitz_stable(p).minors == leading_minors(hurwitz_matrix(p))
+
+
 class TestBuildArrayKernel:
     @settings(max_examples=300, deadline=None)
     @given(rational_polynomials())
     def test_matches_reference(self, p):
         for policy in POLICIES:
             assert_matches_reference(p, policy)
+        assert_minors_from_pivots(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_polynomials())
+    def test_sparse_matches_reference(self, p):
+        for policy in Policy:
+            assert_matches_reference(p, policy)
+        assert_minors_from_pivots(p)
 
     @settings(max_examples=300, deadline=None)
     @given(degenerate_after_prefix())
     def test_handover_at_every_row(self, case):
-        # the integer rows hand over to Q(e) at the s^m row, at row index
+        # the integer rows hand over to Z[e] at the s^m row, at row index
         # degree - m, which ranges over 1..9
         p, m = case
         array = build_array(p, Policy.DERIVATIVE_ROW)
         assert array.events[0].row_power == m
-        # the rows above the two hand-over rows stay the integer rows over a
-        # positive denominator that an event-free build makes; from the row
-        # above the degenerate one on, every row is over 1
+        # above the two hand-over rows, row k is the integer row F_k over
+        # d * Delta_{k-1}, where Delta_k is the k-th leading minor of d
+        # times the Hurwitz matrix (Delta_0 = Delta_-1 = 1) and F_k[0] is
+        # Delta_k
         handover = p.degree - m - 1
-        assert all(type(x) is int for row, _ in array.built[:handover] for x in row)
-        assert all(type(d) is int and d > 0 for _, d in array.built[:handover])
-        assert all(d == 1 for _, d in array.built[handover:])
+        d = p._denom
+        deltas = [1, 1] + [x * d ** k for k, x in
+                           enumerate(leading_minors(hurwitz_matrix(p)), 1)]
+        for k, (row, div) in enumerate(array.built[:handover]):
+            assert all(type(x) is int for x in row)
+            assert div == d * deltas[k]
+            assert k == 0 or row[0] == deltas[k + 1]
+        # e enters at the first zero first entry (a derivative remedy
+        # brings in none): from the row above it on, every row is a list of
+        # polynomials in e over a polynomial divisor, and above that every
+        # row is an integer row
+        e_rows = [p.degree - ev.row_power for ev in array.events
+                  if ev.kind is EventKind.ZERO_FIRST_ELEMENT]
+        first_e = e_rows[0] - 1 if e_rows else p.degree + 1
+        for k, (row, div) in enumerate(array.built):
+            form = list if k >= first_e else int
+            assert all(type(x) is form for x in row)
+            assert type(div) is form and div
+        # the two rows that start the last segment have divisors positive
+        # as e -> 0+
+        last = p.degree - array.events[-1].row_power
+        for _, div in array.built[last - 1:last + 1]:
+            assert (div if type(div) is int else next(c for c in div if c)) > 0
         for policy in POLICIES:
             assert_matches_reference(p, policy)
 
     @pytest.mark.parametrize("policy", [Policy.EPSILON_ROW, Policy.DERIVATIVE_ROW])
     def test_reads_store_nothing(self, policy):
-        # `rows` and `first_column` lift on every read and cache nothing
+        # `rows` and `first_column` build EpsRats on every read and cache
+        # nothing
         for p in ladder_families():
             array = build_array(p, policy)
             state = dict(vars(array))
@@ -143,33 +228,40 @@ class TestBuildArrayKernel:
             assert array.rows == rows
             assert vars(array) == state
 
-    def test_corpus_regular_path_lifts_on_read_only(self, monkeypatch):
-        # classify reads the signs from the integer rows: no _lift at all,
-        # and no EpsRat on an event-free draw, until `rows` is read
-        calls = {"lift": 0, "from_rational": 0}
-        lift, from_rational = routh._lift, EpsRat.from_rational
+    def test_corpus_builds_eps_rats_on_read_only(self, monkeypatch):
+        # classify reads the signs from the stored rows: it builds no
+        # EpsRat at all, except the entries of the row above a zero row
+        # that the derivative remedy reads, until `rows` is read
+        built = {"entries": 0, "eps_rats": 0}
+        entries, init, from_rational = (routh._entries, EpsRat.__init__,
+                                        EpsRat.from_rational)
 
-        def counting_lift(row, d):
-            calls["lift"] += 1
-            return lift(row, d)
+        def counting_entries(row, div):
+            built["entries"] += len(row)
+            return entries(row, div)
+
+        def counting_init(self, num, den=1):
+            built["eps_rats"] += 1
+            init(self, num, den)
 
         def counting_from_rational(cls, value):
-            calls["from_rational"] += 1
+            built["eps_rats"] += 1
             return from_rational(value)
 
-        monkeypatch.setattr(routh, "_lift", counting_lift)
-        monkeypatch.setattr(EpsRat, "from_rational", classmethod(counting_from_rational))
+        monkeypatch.setattr(routh, "_entries", counting_entries)
+        monkeypatch.setattr(EpsRat, "__init__", counting_init)
+        monkeypatch.setattr(EpsRat, "from_rational",
+                            classmethod(counting_from_rational))
         rng = Lcg64(7)
         reports = []
         for _ in range(1000):
             p, _ = random_polynomial(rng, 12)
-            before = calls["from_rational"]
+            before = dict(built)
             report = classify(p, Policy.AUTO, with_oracle=True)
-            if not report.events:
-                assert calls["from_rational"] == before
+            if not any(ev.kind is EventKind.ZERO_ROW for ev in report.events):
+                assert built == before
             reports.append((p, report))
-        assert calls["lift"] == 0
-        assert sum(1 for _, r in reports if not r.events) > 700
+        assert sum(1 for _, r in reports if r.events) > 10
         monkeypatch.undo()
         for p, report in reports:
             assert report.array.rows == reference_array(p, Policy.AUTO)[0]
@@ -183,12 +275,44 @@ class TestBuildArrayKernel:
     def test_degenerate_families(self, p):
         for policy in POLICIES:
             assert_matches_reference(p, policy)
+        assert_minors_from_pivots(p)
 
     def test_corpus_draws(self):
         rng = Lcg64(20261018)
         for _ in range(200):
             p, _ = random_polynomial(rng, 12)
             assert_matches_reference(p, Policy.AUTO)
+            assert_minors_from_pivots(p)
+
+
+class TestSylvesterStep:
+    """The fraction-free step divides exactly, and says so when it cannot."""
+
+    # s^5 + 2s^4 + 3s^3 + 5s^2 + 7s + 11: its rows F_0..F_3 and pivots
+    ROWS = fraction_free_rows([1, 3, 7], [2, 5, 11], 6)
+
+    def test_pivots_are_the_leading_minors(self):
+        p = Polynomial([11, 7, 5, 3, 2, 1])
+        assert [row[0] for row in self.ROWS[1:]] == \
+            list(leading_minors(hurwitz_matrix(p)))
+
+    def test_wrong_divisor_raises(self):
+        f2, f1 = self.ROWS[2], self.ROWS[3]
+        divisor = self.ROWS[1][0]
+        assert sylvester_row(f2, f1, divisor) == self.ROWS[4]
+        with pytest.raises(ArithmeticError):
+            sylvester_row(f2, f1, divisor + 1)
+
+    def test_wrong_divisor_raises_over_polynomials(self):
+        # the same rows with 1 + x in place of 2: F_4 divides by F_1[0]
+        rows = fraction_free_rows([[1], [3], [7]], [[1, 1], [5], [11]], 5,
+                                  sylvester_row_poly)
+        f2, f1, divisor = rows[2], rows[3], rows[1][0]
+        assert sylvester_row_poly(f2, f1, divisor) == rows[4]
+        with pytest.raises(ArithmeticError):
+            sylvester_row_poly(f2, f1, [2, 1])
+        with pytest.raises(ArithmeticError):
+            sylvester_row_poly(f2, f1, [3])
 
 
 def fraction_expansion(roots) -> Polynomial:
@@ -283,21 +407,26 @@ class TestGcdKernel:
                 return fn(a, b)
             return wrapped
 
+        # one gcd per canonical entry read, and the gcds of the rows that
+        # start a segment after a repair
         monkeypatch.setattr(exact_arith, "gcd_cofactors",
                             counting("gcd", exact_arith.gcd_cofactors))
+        monkeypatch.setattr(intpoly, "gcd_cofactors",
+                            counting("gcd", intpoly.gcd_cofactors))
         monkeypatch.setattr(intpoly, "_prs_gcd",
                             counting("prs", intpoly._prs_gcd))
+        # the canonical form is reached when `rows` is read
         rng = Lcg64(7)
         for _ in range(1000):
             p, _ = random_polynomial(rng, 12)
-            build_array(p, Policy.AUTO)
+            build_array(p, Policy.AUTO).rows
         for p in ladder_families():
             for policy in POLICIES:
                 try:
-                    build_array(p, policy)
+                    build_array(p, policy).rows
                 except PolicyUnsupported:
                     pass
         for n in range(1, 49):
-            build_array(Polynomial([1] * (n + 1)), Policy.EPSILON_ROW)
+            build_array(Polynomial([1] * (n + 1)), Policy.EPSILON_ROW).rows
         assert calls["gcd"] > 10000
         assert calls["prs"] == 0

@@ -186,17 +186,20 @@ def loaded_modules(*argv: str) -> set[str]:
     return set(proc.stderr.rsplit("-- loaded --\n", 1)[1].split())
 
 
-# command line -> the optional routhkit modules that it needs
+# command line -> the optional routhkit modules that it needs; the field
+# Q(e) is loaded only by a command that reads array entries
 COMMAND_MODULES = [
-    (["analyze", "--coeffs", "1,2,3,4"], set()),
-    (["analyze", "--coeffs", "1,0,0,0,1", "--policy", "eps-row", "--json"], set()),
-    (["analyze", "--coeffs", "1,2,3,4", "--oracle"], {"root_oracle"}),
+    (["analyze", "--coeffs", "1,2,3,4"], {"exact_arith"}),
+    (["analyze", "--coeffs", "1,0,0,0,1", "--policy", "eps-row", "--json"],
+     {"exact_arith"}),
+    (["analyze", "--coeffs", "1,2,3,4", "--oracle"],
+     {"exact_arith", "root_oracle"}),
     (["compare", "--coeffs", "1,2,3,4", "--json"], {"root_oracle"}),
     (["sweep", "--coeffs", "1,3,3,K", "--range", "0:12", "--steps", "13"],
      {"sweep"}),
     (["corpus", "--count", "3", "--max-degree", "4"], {"corpus", "root_oracle"}),
 ]
-OPTIONAL = {"corpus", "sweep", "hurwitz", "root_oracle"}
+OPTIONAL = {"corpus", "sweep", "hurwitz", "root_oracle", "exact_arith"}
 
 
 class TestImportBudget:
