@@ -269,8 +269,6 @@ def _int_div(a: list[int], b: list[int]) -> list[int] | None:
 def _int_div_exact(a: list[int], b: list[int]) -> list[int]:
     """Exact quotient of integer polynomials over Z; raises ArithmeticError
     when b does not divide a there."""
-    if len(b) == 1:
-        return _scalar_div_exact(a, b[0])
     q = _int_div(a, b)
     if q is None:
         raise ArithmeticError("non-exact polynomial division")

@@ -16,7 +16,7 @@ from routhkit import (EPSILON, EpsRat, Lcg64, Policy, Polynomial, Verdict,
                       classify, find_roots, half_plane_counts, hurwitz_stable,
                       run_corpus, run_sweep)
 from routhkit.cli import main
-from routhkit.hurwitz import ExactMatrix, leading_minors
+from routhkit.hurwitz import ExactMatrix, hurwitz_matrix, leading_minors
 from routhkit.corpus import random_polynomial
 from conftest import random_eps_rat
 from test_hurwitz import minors_by_cofactor
@@ -115,6 +115,8 @@ def test_criterion_6_routh_hurwitz_equivalence(capsys):
             continue
         event_free += 1
         decision = hurwitz_stable(poly)
+        # the minors come from the Routh pivots; Bareiss shares no code there
+        assert decision.minors == leading_minors(hurwitz_matrix(poly))
         if decision.stable == (report.sign_changes == 0):
             agreements += 1
     assert event_free > 0
