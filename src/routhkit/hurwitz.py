@@ -13,9 +13,11 @@ The fraction-free Routh recurrence on those integers
 (`intpoly.fraction_free_rows`, Sylvester's identity as in Bareiss, Math.
 Comp. 22, 1968) has exactly these Delta_k as its pivots, the first entries
 of its rows; one pass gives every minor, and `routh.build_array` runs the
-same pass.  A zero pivot stops it, and the minors after it are computed
-as independent exact determinants with row pivoting, except the last:
-the matrix's last column is (0, ..., 0, a_0), so Delta_n = a_0 Delta_{n-1}.
+same pass.  The paper's two special cases stop it at a zero pivot
+Delta_m = F_m[0] and need no determinant: after an all-zero row F_m
+every minor is zero (by Sylvester's identity each is, up to a power of
+Delta_{m-1} != 0, a determinant with F_m as a row), and a zero first
+entry is bridged by one exact pseudo-division step, `intpoly.bridge_gap`.
 
 `leading_minors` takes any `ExactMatrix` and keeps one Bareiss elimination
 pass over an integer-scaled copy: after step k the (k, k) entry equals the
@@ -30,7 +32,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import DegreeTooSmall, OriginRoot
-from .intpoly import fraction_free_rows
+from .intpoly import bridge_gap, fraction_free_rows
 from .polynomial import Polynomial
 
 
@@ -45,21 +47,15 @@ class HurwitzDecision(NamedTuple):
 
 
 def hurwitz_matrix(p: Polynomial) -> ExactMatrix:
-    rows = _integer_matrix(p)
-    d = p._denom
-    return ExactMatrix(n=len(rows), entries=tuple(
-        tuple(Fraction(x, d) for x in row) for row in rows))
-
-
-def _integer_matrix(p: Polynomial) -> list[list[int]]:
-    """The Hurwitz matrix of p times p's denominator, over the integers."""
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("Hurwitz matrix needs degree >= 1")
     if p._ints[-1] < 0:
         raise ValueError("leading coefficient must be positive; normalize first")
-    n, a = p.degree, p._ints
-    return [[a[k] if 0 <= k <= n else 0 for k in range(n - 1 + i, -n - 1 + i, -2)]
-            for i in range(n)]
+    n, a, d = p.degree, p._ints, p._denom
+    return ExactMatrix(n=n, entries=tuple(
+        tuple(Fraction(a[k], d) if 0 <= k <= n else Fraction(0)
+              for k in range(n - 1 + i, -n - 1 + i, -2))
+        for i in range(n)))
 
 
 def leading_minors(m: ExactMatrix) -> tuple[Fraction, ...]:
@@ -83,9 +79,9 @@ def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
     """Stable iff every leading principal minor is positive.
 
     The minors are the pivots of the fraction-free Routh recurrence on p's
-    integer coefficients, read up to the first zero pivot; the minors
-    after it are determinants of the integer Hurwitz matrix, except the
-    last, Delta_n = a_0 Delta_{n-1}.
+    integer coefficients.  A zero row ends them: every later minor is 0.
+    A zero first entry is bridged by `bridge_gap`, and the recurrence
+    resumes past it, so every minor comes from the one pass.
     """
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("stability test needs degree >= 1")
@@ -94,12 +90,17 @@ def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
     if p._ints[-1] < 0:
         raise ValueError("leading coefficient must be positive; normalize first")
     n, top, d = p.degree, p._ints[::-1], p._denom
-    ints = [row[0] for row in fraction_free_rows(top[0::2], top[1::2], n + 1)[1:]]
-    if len(ints) < n:
-        a = _integer_matrix(p)
-        ints += [_det_int([row[:t] for row in a[:t]])
-                 for t in range(len(ints) + 1, n)]
-        ints.append(p._ints[0] * ints[-1])
+    rows = fraction_free_rows(top[0::2], top[1::2], n + 1)
+    ints = [row[0] for row in rows[1:]]
+    while len(ints) < n and any(rows[-1]):
+        b, a = ([1, 1] + ints)[-3:-1]   # Delta_{m-2}, Delta_{m-1}
+        g, delta, f0, f1 = bridge_gap(rows[-2], rows[-1], a, b)
+        ints += [0] * (2 * g - 2) + [delta, f0[0]]
+        if len(ints) < n:
+            rows = fraction_free_rows(f0, f1, n + 1 - len(ints),
+                                      pivots=(delta, f0[0]))
+            ints += [row[0] for row in rows[1:]]
+    ints += [0] * (n - len(ints))   # after a zero row
     minors = tuple(Fraction(m, d ** k) for k, m in enumerate(ints, 1))
     return HurwitzDecision(stable=all(v > 0 for v in minors), minors=minors)
 

@@ -8,7 +8,8 @@ and return such lists: product, primitive part, gcd with cofactors
 (GCDHEU, then the primitive PRS), exact and pseudo division, Horner
 evaluation at an integer or, homogeneously, at a rational point, and the
 fraction-free Routh recurrence over Z and Z[x] that `routh`, `hurwitz` and
-`sweep` share.  They never mutate their inputs.
+`sweep` share, with the step that carries it over a zero first entry.  They
+never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def sylvester_row_poly(f2: list[list[int]], f1: list[list[int]],
 
 
 def fraction_free_rows(f0: list, f1: list, count: int,
-                       step=sylvester_row) -> list[list]:
+                       step=sylvester_row, pivots=(None, None)) -> list[list]:
     """The fraction-free Routh rows F_0, F_1, F_2, ... that start from f0
     and f1, up to `count` rows; the list stops early after the first row
     whose first entry is zero.
@@ -341,13 +342,54 @@ def fraction_free_rows(f0: list, f1: list, count: int,
     of the polynomial whose descending coefficients interleave f0 and f1,
     so every division is exact; the true Routh row k is F_k / Delta_{k-1},
     up to the scale of f0 (k even) or f1 (k odd).  `step` is
-    `sylvester_row` over Z or `sylvester_row_poly` over Z[x].
+    `sylvester_row` over Z or `sylvester_row_poly` over Z[x].  `pivots`
+    are (Delta_{-1}, Delta_0), None for 1; `bridge_gap` resumes the
+    recurrence mid-chain with the two pivots above its rows.
     """
     rows = [f0, f1]
     while len(rows) < count and rows[-1][0]:
         k = len(rows)
-        rows.append(step(rows[-2], rows[-1], rows[k - 3][0] if k > 3 else None))
+        rows.append(step(rows[-2], rows[-1],
+                         rows[k - 3][0] if k > 3 else pivots[k - 2]))
     return rows
+
+
+def bridge_gap(u: list[int], v: list[int], a: int, b: int
+               ) -> tuple[int, int, list[int], list[int]]:
+    """Carry the fraction-free recurrence over a zero first entry.
+
+    u = F_{m-1} and v = F_m, whose first g >= 1 entries are zero and whose
+    entry v_g is not; a = Delta_{m-1} and b = Delta_{m-2}.  Delta_m to
+    Delta_{m+2g-2} are then zero; this returns g, Delta_{m+2g-1} and the
+    rows F_{m+2g} and F_{m+2g+1}, from which `fraction_free_rows` resumes
+    with the pivots (Delta_{m+2g-1}, Delta_{m+2g}).
+
+    In the Hurwitz determinant of the pair (u, v) the first g columns hold
+    only the first g shifted copies of u, which leave h = (-1)^(g(g+1)/2)
+    u_0^g.  One pseudo-division w = v_g^(g+1) u - Q v[g:] clears the first
+    g + 1 entries of each later copy of u (the gap step of subresultant
+    sequences: Basu, Pollack & Roy, Algorithms in Real Algebraic Geometry,
+    ch. 8), and the pair (v[g:], w[g+1:]) is left.  Hence
+        Delta_{m+2g-1} = h v_g^g a / (a b)^g,
+        F_{m+2g} = h v_g^g v[g:] / (a b)^g,
+        F_{m+2g+1} = h w[g+1:] / ((a b)^g b),
+    all minors of the integer Hurwitz matrix, so each division is exact;
+    one that is not raises ArithmeticError.
+    """
+    g = next(j for j, x in enumerate(v) if x)
+    vg, tail = v[g], v[g:]
+    w = list(u)
+    for k in range(g + 1):
+        c = w[k]
+        w = [vg * x for x in w]
+        for j, y in enumerate(tail, k):
+            w[j] -= c * y
+    h = (-1) ** (g * (g + 1) // 2) * u[0] ** g
+    head = h * vg ** g
+    div = (a * b) ** g
+    return (g, _scalar_div_exact([head * a], div)[0],
+            _scalar_div_exact([head * x for x in tail], div),
+            _scalar_div_exact([h * x for x in w[g + 1:]], div * b))
 
 
 def cancel_gcd(polys: list[list[int]]) -> list[list[int]]:

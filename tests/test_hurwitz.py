@@ -9,6 +9,7 @@ import pytest
 from routhkit import (DegreeTooSmall, ExactMatrix, Lcg64, Polynomial, build_array,
                       count_sign_changes, hurwitz_matrix, hurwitz_stable,
                       leading_minors)
+from routhkit import hurwitz
 from routhkit.corpus import random_polynomial
 from conftest import ladder_families
 
@@ -134,3 +135,57 @@ class TestHurwitzStable:
             checked += 1
             routh_stable = count_sign_changes(array)[1] == 0
             assert hurwitz_stable(poly).stable == routh_stable
+
+
+# descending coefficients of inputs whose chain meets zero first entries:
+# g = 1, 2, 3 leading zeros at row 1 and mid-chain, a gap followed by a
+# zero row, and two gaps in one chain
+GAPS = [
+    [1, 0, 1, 1],                           # g = 1 at row 1
+    [1, 0, 2, 0, -1, -1, 0, 2, 1, 1],       # g = 2 at row 1
+    [1, 0, 3, 0, 0, 0, 3, 3, 0, 1],         # g = 3 at row 1
+    [1, 3, 0, 0, 3, 1, 1],                  # g = 1 at row 2
+    [1, 3, 0, 3, -1, 0, 0, 0, 0, 1],        # g = 2 at row 3
+    [1, 2, 0, 0, 0, 0, 0, 0, 3, 3, 1],      # g = 3 at row 2
+    [1, 0, 1, 1, 0, 1],                     # g = 1 at row 1, zero row 4
+    [1, 1, -1, 0, 0, 0, 2, 2, 0, 1],        # g = 2 at row 3, zero row 8
+    [1, 2, 1, 0, 1, 2, 0, 0, 1, 2, 1],      # g = 1 at row 3, g = 2 at row 6
+]
+
+
+def no_determinant_inputs() -> list[Polynomial]:
+    polys = [Polynomial([1] + [0] * (n - 1) + [1]) for n in range(4, 49)]
+    for w2 in (1, 4, 9):
+        for t in ([1, 1], [1, 1, 1], [1, 3, 2, 1]):
+            p = Polynomial(t)
+            for _ in range(4):
+                p = p * Polynomial([w2, 0, 1])   # (s^2 + w^2)^k t
+                polys.append(p)
+    polys += [Polynomial([1] * (n + 1)) for n in range(1, 65)]
+    rng = Lcg64(7)
+    draws = [random_polynomial(rng, 12)[0] for _ in range(4000)]
+    polys += [p for p in draws if not p.coeff(p.degree - 1)]
+    polys += [Polynomial(top[::-1]) for top in GAPS]
+    return polys
+
+
+class TestNoDeterminant:
+    """hurwitz_stable reads every minor from the fraction-free pass, also
+    after a zero pivot: it never takes a determinant."""
+
+    def test_minors_without_determinants(self, monkeypatch):
+        polys = no_determinant_inputs()
+        expected = [leading_minors(hurwitz_matrix(p)) for p in polys]
+
+        def refuse(a):
+            raise AssertionError("hurwitz_stable took a determinant")
+        monkeypatch.setattr(hurwitz, "_det_int", refuse)
+        for p, minors in zip(polys, expected):
+            assert hurwitz_stable(p).minors == minors, p
+
+    def test_long_gap_and_zero_row(self):
+        # all-ones of degree 96: F_2 = (0, ..., 0, 1), a gap of 47 entries;
+        # s^96 + 1: F_1 is a zero row
+        ones = hurwitz_stable(Polynomial([1] * 97)).minors
+        assert [k for k, m in enumerate(ones, 1) if m] == [1, 95, 96]
+        assert not any(hurwitz_stable(Polynomial([1] + [0] * 95 + [1])).minors)

@@ -22,7 +22,7 @@ from routhkit import (EPSILON, EpsContaminatedRow, EpsRat, EventKind, Lcg64,
                       leading_minors)
 from routhkit.corpus import random_polynomial, random_roots
 from routhkit import exact_arith, intpoly, routh
-from routhkit.intpoly import (fraction_free_rows, sylvester_row,
+from routhkit.intpoly import (bridge_gap, fraction_free_rows, sylvester_row,
                               sylvester_row_poly)
 from conftest import ladder_families
 
@@ -144,16 +144,33 @@ def degenerate_after_prefix(draw) -> tuple[Polynomial, int]:
     R_{k+2} = c s R_{k+1} + R_k on top of the pair (R_{k+1}, R_k).
     """
     m = draw(st.integers(0, 4))
+    at = [Fraction(0)] + draw(st.lists(rationals, min_size=m // 2, max_size=m // 2))
+    return stacked_on(draw, at, m), m
+
+
+def stacked_on(draw, at: list, m: int) -> Polynomial:
+    """A polynomial whose array has the drawn s^(m+1) row and then `at` as
+    its s^m row, after up to 8 drawn regular rows above them."""
     below = [draw(rationals.filter(bool))] + draw(
         st.lists(rationals, min_size=(m + 1) // 2, max_size=(m + 1) // 2))
-    at = [Fraction(0)] + draw(st.lists(rationals, min_size=m // 2, max_size=m // 2))
     upper, lower = auxiliary_polynomial(below, m + 1), auxiliary_polynomial(at, m)
     for _ in range(draw(st.integers(0, 8))):
         c = draw(rationals.filter(bool))
         upper, lower = Polynomial([0, c]) * upper + lower, upper
     p = upper + lower
     assume(p.constant_term)
-    return (-p if p.leading_coefficient < 0 else p), m
+    return -p if p.leading_coefficient < 0 else p
+
+
+@st.composite
+def gap_after_prefix(draw) -> Polynomial:
+    """p whose array, after up to 8 regular rows, has a row whose first
+    g = 1..3 entries are zero and whose next entry is not."""
+    g = draw(st.integers(1, 3))
+    m = draw(st.integers(2 * g, 2 * g + 3))
+    at = [Fraction(0)] * g + [draw(rationals.filter(bool))] + draw(
+        st.lists(rationals, min_size=m // 2 - g, max_size=m // 2 - g))
+    return stacked_on(draw, at, m)
 
 
 def assert_minors_from_pivots(p: Polynomial) -> None:
@@ -313,6 +330,38 @@ class TestSylvesterStep:
             sylvester_row_poly(f2, f1, [2, 1])
         with pytest.raises(ArithmeticError):
             sylvester_row_poly(f2, f1, [3])
+
+
+class TestGapStep:
+    """`bridge_gap` carries the recurrence over a zero first entry with
+    exact divisions, and says so when it cannot."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gap_after_prefix())
+    def test_minors_after_a_gap(self, p):
+        assert_minors_from_pivots(p)
+
+    # s^9 + 3s^8 + 3s^6 - s^5 + 1: F_3 = (0, 0, 3, -3), a gap of two
+    # entries at row 3 under Delta_2 = -3 and Delta_1 = 3
+    ROWS = fraction_free_rows([1, 0, -1, 0, 0], [3, 3, 0, 0, 1], 10)
+
+    def test_rows_resume_the_recurrence(self):
+        p = Polynomial([1, 0, 0, 0, 0, -1, 3, 0, 3, 1])
+        minors = leading_minors(hurwitz_matrix(p))
+        assert len(self.ROWS) == 4 and self.ROWS[3][:2] == [0, 0]
+        g, delta, f0, f1 = bridge_gap(self.ROWS[2], self.ROWS[3],
+                                      self.ROWS[2][0], self.ROWS[1][0])
+        assert g == 2 and minors[3:5] == (0, 0)
+        assert [delta, f0[0], f1[0]] == list(minors[5:8])
+        rows = fraction_free_rows(f0, f1, 3, pivots=(delta, f0[0]))
+        assert rows[2][0] == minors[8]
+
+    def test_wrong_divisor_raises(self):
+        u, v, a, b = self.ROWS[2], self.ROWS[3], self.ROWS[2][0], self.ROWS[1][0]
+        with pytest.raises(ArithmeticError):
+            bridge_gap(u, v, a, b + 1)
+        with pytest.raises(ArithmeticError):
+            bridge_gap(u, v, a + 1, b)
 
 
 def fraction_expansion(roots) -> Polynomial:

@@ -158,15 +158,16 @@ class TestRecords:
 
 
 # Run in a fresh interpreter: runs argv as `python -m routhkit.cli` would
-# (or only imports the package) and prints, after a marker line on stderr,
-# every module that the bare interpreter had not already loaded.
+# (or, after `--import-only`, only imports the package or the module named
+# next) and prints, after a marker line on stderr, every module that the
+# bare interpreter had not already loaded.
 _PROBE = """
 import runpy, sys
 before = set(sys.modules)
 sys.argv = ["routhkit", *sys.argv[1:]]
 try:
-    if sys.argv[1:] == ["--import-only"]:
-        import routhkit
+    if sys.argv[1] == "--import-only":
+        __import__((sys.argv[2:] or ["routhkit"])[0])
     else:
         runpy.run_module("routhkit.cli", run_name="__main__", alter_sys=True)
 except SystemExit:
@@ -207,6 +208,14 @@ class TestImportBudget:
         loaded = loaded_modules("--import-only")
         assert {m for m in loaded if m.startswith("routhkit")} == {"routhkit"}
         assert not loaded & {"dataclasses", "inspect"}
+
+    def test_hurwitz_loads_neither_routh_nor_the_field_nor_the_oracle(self):
+        # the corpus workload times `hurwitz_stable` beside `classify`; a
+        # module-level import here would move their start-up cost
+        loaded = loaded_modules("--import-only", "routhkit.hurwitz")
+        assert "routhkit.hurwitz" in loaded
+        assert not loaded & {"routhkit.routh", "routhkit.exact_arith",
+                             "routhkit.root_oracle"}
 
     @pytest.mark.parametrize("argv, needed", COMMAND_MODULES,
                              ids=["analyze", "analyze-json", "analyze-oracle",
