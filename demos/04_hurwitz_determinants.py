@@ -1,15 +1,13 @@
 """The determinant route: Hurwitz matrix and exact leading minors.
 
 A polynomial with positive leading coefficient is stable exactly when all
-leading principal minors of its Hurwitz matrix are positive.  Minors are
-computed exactly by fraction-free elimination, so this is a genuinely
-independent second opinion on every Routh verdict.
-
+leading principal minors of its Hurwitz matrix are positive.
 `hurwitz_stable` reads the minors from the fraction-free Routh pass, also
 past the paper's two special cases: s^4 + 1 has a zero row, and s^3 - 7s - 6
-and the quintic a zero first entry.  After the zero pivot its minors are
-printed next to those of `leading_minors`, which takes a determinant per
-minor there.
+and the quintic a zero first entry.  `leading_minors` takes each minor as
+its own exact determinant of the matrix, sharing no code with that pass,
+so it is an independent second opinion; after a zero pivot the two are
+printed side by side.
 """
 
 from routhkit import (Polynomial, classify, hurwitz_matrix, hurwitz_stable,

@@ -287,6 +287,19 @@ def _cmd_corpus(args):
     return doc, lambda: _corpus_text(doc), 0 if summary.all_agree else 1
 
 
+def _fmt_exact(x: Fraction) -> str:
+    """`_fmt` of x's double; where that overflows, or is 0 or subnormal for
+    a nonzero x, the same 12 significant digits read from x itself."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if abs(f) >= sys.float_info.min or not x:
+        return _fmt(f)
+    from decimal import Context
+    return format(Context(prec=12).divide(x.numerator, x.denominator).normalize(), "g")
+
+
 def _sweep_text(doc: dict, policy_name: str) -> str:
     k = doc["parameter"]
     lines = [f"sweep over {k}: range {doc['range']['lo']} to {doc['range']['hi']} "
@@ -295,12 +308,12 @@ def _sweep_text(doc: dict, policy_name: str) -> str:
         lines.append(f"stable intervals for {k}:")
         for iv in doc["intervals"]:
             lo, hi = Fraction(iv["lo"]), Fraction(iv["hi"])
-            lines.append(f"  [{_fmt(float(lo))}, {_fmt(float(hi))}]"
+            lines.append(f"  [{_fmt_exact(lo)}, {_fmt_exact(hi)}]"
                          f"  (exact {lo} .. {hi})")
     else:
         lines.append("stable intervals: none")
     for sample in doc.get("samples", ()):
-        lines.append(f"  {k}={_fmt(float(Fraction(sample[k])))}: {sample['verdict']}")
+        lines.append(f"  {k}={_fmt_exact(Fraction(sample[k]))}: {sample['verdict']}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,26 +9,25 @@ minors are positive.
 polynomial holds integer coefficients over one positive denominator d
 (`_ints` over `_denom`), so d times the Hurwitz matrix is an integer
 matrix, and the k-th leading minor is its integer minor Delta_k over d^k.
-The fraction-free Routh recurrence on those integers
-(`intpoly.fraction_free_rows`, Sylvester's identity as in Bareiss, Math.
-Comp. 22, 1968) has exactly these Delta_k as its pivots, the first entries
-of its rows; one pass gives every minor, and `routh.build_array` runs the
-same pass.  The paper's two special cases stop it at a zero pivot
-Delta_m = F_m[0] and need no determinant: after an all-zero row F_m
-every minor is zero (by Sylvester's identity each is, up to a power of
-Delta_{m-1} != 0, a determinant with F_m as a row), and a zero first
-entry is bridged by one exact pseudo-division step, `intpoly.bridge_gap`.
+These Delta_k are the pivots of the fraction-free Routh recurrence on those
+integers (`intpoly.fraction_free_rows`, which `routh.build_array` runs
+too), so one pass gives every minor.  The paper's two special cases stop
+it at a zero pivot Delta_m = F_m[0] and need no determinant: after an
+all-zero row F_m every minor is zero (by Sylvester's identity each is, up
+to a power of Delta_{m-1} != 0, a determinant with F_m as a row), and a
+zero first entry is bridged by one exact pseudo-division step,
+`intpoly.bridge_gap`.
 
-`leading_minors` takes any `ExactMatrix` and keeps one Bareiss elimination
-pass over an integer-scaled copy: after step k the (k, k) entry equals the
-(k+1)-th leading minor, and every intermediate division is exact
-(checked); after a zero pivot every remaining minor is a determinant.
+`leading_minors` takes any `ExactMatrix` and computes each leading minor
+as its own determinant of the integer-scaled leading block, by Bareiss
+elimination with row pivoting; it shares no code with the recurrence it
+checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple
 
 from .errors import DegreeTooSmall, OriginRoot
@@ -59,20 +58,14 @@ def hurwitz_matrix(p: Polynomial) -> ExactMatrix:
 
 
 def leading_minors(m: ExactMatrix) -> tuple[Fraction, ...]:
-    """Exact k x k leading principal minors for k = 1..n."""
-    scales = []
-    work = []
-    for row in m.entries:
-        mult = lcm(*(c.denominator for c in row))
-        scales.append(mult)
-        work.append([c.numerator * (mult // c.denominator) for c in row])
+    """Exact k x k leading principal minors for k = 1..n, each its own
+    determinant."""
+    scales = [lcm(*(c.denominator for c in row)) for row in m.entries]
     # row i of the matrix is work[i] / scales[i]
-    minors = []
-    acc = 1
-    for v, scale in zip(_bareiss_leading_minors(work), scales):
-        acc *= scale
-        minors.append(Fraction(v, acc))
-    return tuple(minors)
+    work = [[c.numerator * (scale // c.denominator) for c in row]
+            for row, scale in zip(m.entries, scales)]
+    return tuple(Fraction(_det_int([row[:k] for row in work[:k]]),
+                          prod(scales[:k])) for k in range(1, len(work) + 1))
 
 
 def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
@@ -105,32 +98,10 @@ def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
     return HurwitzDecision(stable=all(v > 0 for v in minors), minors=minors)
 
 
-def _bareiss_leading_minors(a: list[list[int]]) -> list[int]:
-    """Leading principal minors of an integer matrix, fraction-free.
-
-    Falls back to per-minor determinants once a pivot (itself a leading
-    minor) vanishes, because the shared elimination cannot continue past a
-    zero pivot without row swaps that would change the leading submatrices.
-    """
-    n = len(a)
-    pristine = [row[:] for row in a]
-    minors = [0] * n
-    prev = 1
-    for k in range(n):
-        minors[k] = a[k][k]
-        if k == n - 1:
-            break
-        if a[k][k] == 0:
-            for t in range(k + 1, n):
-                minors[t] = _det_int([row[: t + 1] for row in pristine[: t + 1]])
-            break
-        prev = _bareiss_step(a, k, prev)
-    return minors
-
-
 def _det_int(a: list[list[int]]) -> int:
-    """Exact determinant via Bareiss elimination with row pivoting."""
-    a = [row[:] for row in a]
+    """Exact determinant by Bareiss elimination with row pivoting, in place:
+    step k updates every entry past row and column k and divides it,
+    exactly (checked), by the pivot of step k - 1 (1 at the first step)."""
     n = len(a)
     sign = 1
     prev = 1
@@ -143,21 +114,12 @@ def _det_int(a: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        prev = _bareiss_step(a, k, prev)
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = divmod(pivot * a[i][j] - a[i][k] * a[k][j], prev)
+                if r:
+                    raise ArithmeticError("Bareiss division must be exact")
+                a[i][j] = q
+        prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def _bareiss_step(a: list[list[int]], k: int, prev: int) -> int:
-    """Eliminate below the nonzero pivot a[k][k] in place, fraction-free:
-    every entry past row and column k is updated and divided, exactly, by
-    `prev`, the previous step's pivot (1 at the first step).  Returns the
-    pivot, which is the divisor of the next step."""
-    pivot = a[k][k]
-    n = len(a)
-    for i in range(k + 1, n):
-        for j in range(k + 1, n):
-            q, r = divmod(pivot * a[i][j] - a[i][k] * a[k][j], prev)
-            if r:
-                raise ArithmeticError("Bareiss division must be exact")
-            a[i][j] = q
-    return pivot

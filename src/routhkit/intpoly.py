@@ -331,21 +331,25 @@ def sylvester_row_poly(f2: list[list[int]], f1: list[list[int]],
 
 
 def fraction_free_rows(f0: list, f1: list, count: int,
-                       step=sylvester_row, pivots=(None, None)) -> list[list]:
+                       pivots=(None, None)) -> list[list]:
     """The fraction-free Routh rows F_0, F_1, F_2, ... that start from f0
     and f1, up to `count` rows; the list stops early after the first row
     whose first entry is zero.
 
-    F_{k+1} = step(F_{k-1}, F_k, Delta_{k-2}) with Delta_m = F_m[0] and
-    Delta_0 = Delta_{-1} = 1.  By Sylvester's identity (Bareiss, Math.
-    Comp. 22, 1968) Delta_m is the m-th leading minor of the Hurwitz matrix
-    of the polynomial whose descending coefficients interleave f0 and f1,
-    so every division is exact; the true Routh row k is F_k / Delta_{k-1},
-    up to the scale of f0 (k even) or f1 (k odd).  `step` is
-    `sylvester_row` over Z or `sylvester_row_poly` over Z[x].  `pivots`
-    are (Delta_{-1}, Delta_0), None for 1; `bridge_gap` resumes the
-    recurrence mid-chain with the two pivots above its rows.
+    F_{k+1}[j] = (F_k[0] F_{k-1}[j+1] - F_{k-1}[0] F_k[j+1]) / Delta_{k-2}
+    with Delta_m = F_m[0] and Delta_0 = Delta_{-1} = 1: `sylvester_row`
+    over Z, or `sylvester_row_poly` over Z[x] when the rows hold integer
+    polynomials.  By Sylvester's identity (Bareiss, Math. Comp. 22, 1968)
+    Delta_m is the m-th leading minor of the Hurwitz matrix of the
+    polynomial whose descending coefficients interleave f0 and f1, so every
+    division is exact; the true Routh row k is F_k / Delta_{k-1}, up to the
+    scale of f0 (k even) or f1 (k odd), and its first entry is the
+    classical c_k = Delta_k / Delta_{k-1} (Gantmacher, The Theory of
+    Matrices, vol. 2, ch. XV).  `pivots` are (Delta_{-1}, Delta_0), None
+    for 1; `bridge_gap` resumes the recurrence mid-chain with the two
+    pivots above its rows.
     """
+    step = sylvester_row_poly if type(f0[0]) is list else sylvester_row
     rows = [f0, f1]
     while len(rows) < count and rows[-1][0]:
         k = len(rows)

@@ -31,18 +31,11 @@ How each is repaired is the selectable :class:`Policy`:
 The number of sign changes down the first column equals the number of roots
 in the open right half-plane.
 
-How the array is stored.  The rows are built fraction-free
-(`intpoly.fraction_free_rows`): stored row k is F_k, and
-
-    F_{k+1}[j] = (F_k[0]*F_{k-1}[j+1] - F_{k-1}[0]*F_k[j+1]) / Delta_{k-2}
-
-with Delta_m = F_m[0] and Delta_0 = Delta_{-1} = 1.  By Sylvester's identity
-every division is exact, and Delta_k is the k-th leading minor of the
+How the array is stored.  The rows are built by the fraction-free
+recurrence `intpoly.fraction_free_rows`, whose docstring derives it: stored
+row k is F_k, its pivots Delta_k = F_k[0] are the leading minors of the
 Hurwitz matrix of p's integer coefficients (`_ints`, over the denominator
-d), so the pivots are the minors: for k >= 1, r[k][0] = Delta_k/(d
-Delta_{k-1}) is the classical c_k = Delta_k/Delta_{k-1} of the true minors
-(Gantmacher, The Theory of Matrices, vol. 2, ch. XV).  The true row k is
-F_k/(d Delta_{k-1}).
+d), and the true row k is F_k/(d Delta_{k-1}).
 
 Entries are integers until e enters the array.  A repair starts a new
 segment of the same recurrence from the row above and the repaired row,
@@ -65,8 +58,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 from .errors import (DegreeTooSmall, EpsContaminatedRow, OracleUnavailable,
                      OriginRoot, PolicyUnsupported)
-from .intpoly import (cancel_gcd, fraction_free_rows, poly_mul, sylvester_row,
-                      sylvester_row_poly)
+from .intpoly import cancel_gcd, fraction_free_rows, poly_mul
 from .polynomial import Polynomial
 
 if TYPE_CHECKING:
@@ -199,11 +191,8 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
     events: list[SpecialEvent] = []
     while True:
         # one segment: its row m is F_m over scales[m % 2] * Delta_{m-1}
-        if type(scales[0]) is int:
-            step, times = sylvester_row, int.__mul__
-        else:
-            step, times = sylvester_row_poly, poly_mul
-        chain = fraction_free_rows(f0, f1, n + 1 - len(built), step)
+        times = int.__mul__ if type(scales[0]) is int else poly_mul
+        chain = fraction_free_rows(f0, f1, n + 1 - len(built))
         built += [(f, scales[m & 1] if m < 2
                    else times(scales[m & 1], chain[m - 1][0]))
                   for m, f in enumerate(chain)]

@@ -18,7 +18,7 @@ none vanishes, the column entries are a_n, then Delta_m/(D Delta_{m-1})
 and the odd minors share a sign and the even minors are positive.  The
 sample is then Stable, and Unstable otherwise.
 
-Why that is exact.  Each Delta_m(K) is, by Sylvester's identity, a
+Why that is exact.  Each Delta_m(K) is a leading Hurwitz minor, a
 determinant whose entries are the template's coefficients, so substituting
 K = k commutes with it: Delta_m(k) is the minor of the sample's own
 Hurwitz matrix.  If a_n(k) and every Delta_m(k) are nonzero, every pivot
@@ -44,7 +44,7 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from .errors import MultipleParameters, NoParameter, PolicyUnsupported
-from .intpoly import eval_homogeneous, fraction_free_rows, sylvester_row_poly
+from .intpoly import eval_homogeneous, fraction_free_rows
 from .polynomial import Polynomial, parse_coefficient_list
 from .routh import Policy, Verdict, classify
 
@@ -78,8 +78,7 @@ def _column_polynomials(descending: list) -> Optional[list[list[int]]]:
             else [] for c in descending]
     if len(ints) == 1:
         return ints
-    rows = fraction_free_rows(ints[0::2], ints[1::2], len(ints),
-                              sylvester_row_poly)
+    rows = fraction_free_rows(ints[0::2], ints[1::2], len(ints))
     if not rows[-1][0]:
         return None
     return [row[0] for row in rows]

@@ -84,10 +84,17 @@ class TestLeadingMinors:
             assert leading_minors(m) == minors_by_cofactor(m)
 
     def test_matches_cofactor_oracle_on_corpus(self, rng):
-        for _ in range(200):
-            poly, _ = random_polynomial(rng, 8)
+        polys = [random_polynomial(rng, 8)[0] for _ in range(200)]
+        # zero pivots mid-matrix: s^n + 1, all-ones, (s^2 + 1)^2, the
+        # quintic s^5 + 2s^4 + 3s^3 + 6s^2 + 10s + 5 and
+        # (s^2 + 1)(s^3 + s - 1)
+        polys += [Polynomial([1] + [0] * (n - 1) + [1]) for n in range(4, 8)]
+        polys += [Polynomial([1] * (n + 1)) for n in range(4, 8)]
+        polys += [Polynomial([1, 0, 2, 0, 1]), Polynomial([5, 10, 6, 3, 2, 1]),
+                  Polynomial([-1, 1, -1, 2, 0, 1])]
+        for poly in polys:
             m = hurwitz_matrix(poly)
-            assert leading_minors(m) == minors_by_cofactor(m)
+            assert leading_minors(m) == minors_by_cofactor(m), poly
 
     def test_rational_entries(self, rng):
         for _ in range(40):

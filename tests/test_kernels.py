@@ -322,8 +322,7 @@ class TestSylvesterStep:
 
     def test_wrong_divisor_raises_over_polynomials(self):
         # the same rows with 1 + x in place of 2: F_4 divides by F_1[0]
-        rows = fraction_free_rows([[1], [3], [7]], [[1, 1], [5], [11]], 5,
-                                  sylvester_row_poly)
+        rows = fraction_free_rows([[1], [3], [7]], [[1, 1], [5], [11]], 5)
         f2, f1, divisor = rows[2], rows[3], rows[1][0]
         assert sylvester_row_poly(f2, f1, divisor) == rows[4]
         with pytest.raises(ArithmeticError):
