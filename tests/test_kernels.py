@@ -288,6 +288,10 @@ class TestBuildArrayKernel:
         *(Polynomial([1] + [0] * (n - 1) + [1]) for n in range(2, 11)),
         Polynomial([5, 10, 6, 3, 2, 1]),       # s^5+2s^4+3s^3+6s^2+10s+5
         Polynomial([1, 0, 2, 0, 1]),           # (s^2 + 1)^2
+        # the derivative remedy under a row that carries e: e-free once
+        # reduced, so repaired, and with e left in it, so refused
+        Polynomial([1, 1, 2, 1, 0, 0, 0, 0, 1, 0, 1]),
+        Polynomial([-1, 0, 0, -2, 0, 0, 1, 0, 0, 2]),
     ], ids=str)
     def test_degenerate_families(self, p):
         for policy in POLICIES:
