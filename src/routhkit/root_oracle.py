@@ -43,9 +43,13 @@ _TOL = 1e-13
 # per-degree rounding-error factor of complex Horner evaluation in doubles:
 # |p(z)| <= n * _HORNER_ROUNDING * sum |a_k| |z|^k is rounding noise
 _HORNER_ROUNDING = 4 * 2.0 ** -52
+# sweeps after which find_roots returns its estimates as unconverged
+_MAX_SWEEPS = 1000
+# half-width of the imaginary-axis band, relative to max(1, |root|)
+_AXIS_BAND = 1e-8
 
 
-def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
+def find_roots(p: Polynomial) -> RootSet:
     """All complex roots of p, sorted by (re, im).
 
     converged=True means that in the last sweep every estimate either moved
@@ -53,11 +57,11 @@ def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
     is then an exact root of a polynomial whose coefficients differ from
     p's by a few rounding errors (a backward-stable root set).  The flag
     does not bound the forward error: near a multiple or tightly clustered
-    root an estimate can still lie far from the true root.  When max_iter
-    sweeps pass without that, the current estimates are still returned
-    with converged=False.  Raises OracleUnavailable when the monic float
-    coefficients cannot be formed, a nonzero one underflowing to 0.0 too,
-    and when the residual at a root is not finite.
+    root an estimate can still lie far from the true root.  When
+    _MAX_SWEEPS sweeps pass without that, the current estimates are still
+    returned with converged=False.  Raises OracleUnavailable when the monic
+    float coefficients cannot be formed, a nonzero one underflowing to 0.0
+    too, and when the residual at a root is not finite.
     """
     if p.is_zero or p.degree < 1:
         raise DegreeTooSmall("root finding needs degree >= 1")
@@ -69,7 +73,7 @@ def find_roots(p: Polynomial, max_iter: int = 1000) -> RootSet:
     magnitudes = [abs(c) for c in descending]
     floor = _HORNER_ROUNDING * n
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         done = True
         for i in range(n):
             zi = z[i]
@@ -130,18 +134,18 @@ def _monic_floats(p: Polynomial) -> list[float]:
     return mono
 
 
-def half_plane_counts(root_set: RootSet, delta: float = 1e-8) -> HalfPlaneCounts:
+def half_plane_counts(root_set: RootSet) -> HalfPlaneCounts:
     """Count roots left of, right of, and on the imaginary axis.
 
-    The axis band is delta * max(1, |root|) wide so large roots are not
-    misclassified by absolute tolerance.
+    The axis band is _AXIS_BAND * max(1, |root|) wide on each side, so
+    large roots are not misclassified by absolute tolerance.
     """
     lhp = rhp = axis = 0
     for r in root_set.roots:
         scale = max(1.0, abs(r))
-        if r.real > delta * scale:
+        if r.real > _AXIS_BAND * scale:
             rhp += 1
-        elif r.real < -delta * scale:
+        elif r.real < -_AXIS_BAND * scale:
             lhp += 1
         else:
             axis += 1

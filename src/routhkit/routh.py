@@ -211,61 +211,61 @@ def _restart(built: list, power: int, policy: Policy,
     of its entries and its divisor, with the divisors made positive as
     e -> 0+: so each divisor is the lcm of the reduced denominators of its
     row's entries.  The segment runs over Z until e enters the array and
-    over Z[e] from then on.
+    over Z[e] from then on; the repair works on the stored integers.
     """
     (above, p_above), (row, p_row) = built[-2:]
-    if not any(row):
-        if policy is Policy.SINGLE_EPSILON:
-            raise PolicyUnsupported(
-                f"single-eps policy cannot handle the all-zero s^{power} row")
-        if policy is Policy.EPSILON_ROW:
-            row, p_row = [[0, 1]] * len(row), [1]
-            events.append(SpecialEvent(EventKind.ZERO_ROW, power,
-                                       "replaced every entry with e"))
-        else:
-            aux = auxiliary_polynomial(
-                [Fraction(x, p_above) for x in above] if type(p_above) is int
-                else _entries(above, p_above), power + 1)
-            deriv = aux.derivative()
-            row, p_row = deriv._ints[power::-2], deriv._denom
-            events.append(SpecialEvent(
-                EventKind.ZERO_ROW, power,
-                f"substituted coefficients of derivative {deriv} "
-                f"of auxiliary polynomial {aux}"))
-    else:
-        if type(p_row) is int:
-            row, p_row = _in_e(row), [p_row]
+    del built[-2:]
+    above, p_above = _reduced(above, p_above)
+    if any(row):
+        row, p_row = _in_e(row, p_row)
         row = [[0, *p_row], *row[1:]]
         events.append(SpecialEvent(EventKind.ZERO_FIRST_ELEMENT, power,
                                    "replaced leading zero with e"))
-    del built[-2:]
-    if type(p_above) is int and type(p_row) is int:
-        (f0, s0), (f1, s1) = _reduced(above, p_above), _reduced(row, p_row)
+    elif policy is Policy.SINGLE_EPSILON:
+        raise PolicyUnsupported(
+            f"single-eps policy cannot handle the all-zero s^{power} row")
+    elif policy is Policy.EPSILON_ROW:
+        row, p_row = [[0, 1]] * len(row), [1]
+        events.append(SpecialEvent(EventKind.ZERO_ROW, power,
+                                   "replaced every entry with e"))
     else:
-        (f0, s0), (f1, s1) = _reduced_e(above, p_above), _reduced_e(row, p_row)
-    return f0, f1, (s0, s1)
+        ints, div = above, p_above
+        if type(div) is not int:
+            # reduced, the row is e-free exactly when all of it is constant
+            if len(div) > 1 or any(len(x) > 1 for x in above):
+                auxiliary_polynomial(_entries(above, div), power + 1)  # raises
+            ints, div = [x[0] if x else 0 for x in above], div[0]
+        coeffs = [0] * (power + 2)
+        coeffs[power + 1::-2] = ints
+        aux = Polynomial._raw(coeffs, div)
+        deriv = aux.derivative()
+        row, p_row = deriv._ints[power::-2], deriv._denom
+        events.append(SpecialEvent(
+            EventKind.ZERO_ROW, power,
+            f"substituted coefficients of derivative {deriv} "
+            f"of auxiliary polynomial {aux}"))
+    row, p_row = _reduced(row, p_row)
+    if type(p_above) is not type(p_row):
+        # one of the two carries e: the segment runs over Z[e]
+        (above, p_above), (row, p_row) = _in_e(above, p_above), _in_e(row, p_row)
+    return above, row, (p_above, p_row)
 
 
-def _reduced(row: list[int], div: int) -> tuple[list[int], int]:
-    """An integer row and its divisor over their gcd, the divisor positive."""
-    g = gcd(*row, div)
-    if div < 0:
-        g = -g
-    return [x // g for x in row], div // g
-
-
-def _reduced_e(row: list, div) -> tuple[list, list[int]]:
-    """`_reduced` over Z[e]; an integer row is taken into Z[e] first."""
+def _reduced(row: list, div) -> tuple[list, Any]:
+    """A row and its divisor over their gcd in Z or in Z[e], the divisor
+    positive as e -> 0+."""
     if type(div) is int:
-        row, div = _in_e(row), [div]
+        g = gcd(*row, div) if div > 0 else -gcd(*row, div)
+        return [x // g for x in row], div // g
     *row, div = cancel_gcd([*row, div])
     if _lowest(div) < 0:
         row, div = [[-c for c in x] for x in row], [-c for c in div]
     return row, div
 
 
-def _in_e(row: list[int]) -> list[list[int]]:
-    return [[x] if x else [] for x in row]
+def _in_e(row: list, div) -> tuple[list, list[int]]:
+    """A row and its divisor in Z[e]; one there already is returned as is."""
+    return ([[x] if x else [] for x in row], [div]) if type(div) is int else (row, div)
 
 
 def _entries(row: list, div) -> tuple[EpsRat, ...]:

@@ -40,6 +40,7 @@ Undetermined.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 from typing import NamedTuple, Optional
 
@@ -128,19 +129,9 @@ def run_sweep(template_text: str, lo: Fraction, hi: Fraction, steps: int,
             verdict = _classified(slots, value, degree, policy)
         samples.append((value, verdict))
 
-    intervals: list[tuple[Fraction, Fraction]] = []
-    run_start: Optional[Fraction] = None
-    prev_value: Optional[Fraction] = None
-    for value, verdict in samples:
-        if verdict == Verdict.STABLE.value:
-            if run_start is None:
-                run_start = value
-            prev_value = value
-        elif run_start is not None:
-            intervals.append((run_start, prev_value))
-            run_start = None
-    if run_start is not None:
-        intervals.append((run_start, prev_value))
-
+    runs = [[value for value, _ in run] for stable, run in
+            groupby(samples, lambda sample: sample[1] == Verdict.STABLE.value)
+            if stable]
     return SweepResult(parameter="K", lo=lo, hi=hi, steps=steps,
-                       intervals=tuple(intervals), samples=tuple(samples))
+                       intervals=tuple((run[0], run[-1]) for run in runs),
+                       samples=tuple(samples))

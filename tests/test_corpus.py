@@ -34,7 +34,7 @@ def test_roots_lie_on_the_grid():
 def test_unavailable_oracle_is_a_recorded_disagreement(monkeypatch):
     # a draw the float oracle cannot evaluate has no oracle count: it is
     # recorded with the reason, not a crash on the missing count
-    def unavailable(p, max_iter=1000):
+    def unavailable(p):
         raise OracleUnavailable("the monic coefficients leave the float range")
 
     monkeypatch.setattr(root_oracle, "find_roots", unavailable)

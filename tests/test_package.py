@@ -196,6 +196,9 @@ COMMAND_MODULES = [
     (["analyze", "--coeffs", "1,2,3,4", "--oracle"],
      {"exact_arith", "root_oracle"}),
     (["compare", "--coeffs", "1,2,3,4", "--json"], {"root_oracle"}),
+    # a derivative remedy under a row that carries e reads no entry
+    (["compare", "--coeffs=-1,0,-1,0,0,0,0,-1,-2,-1,-1", "--json"],
+     {"root_oracle"}),
     (["sweep", "--coeffs", "1,3,3,K", "--range", "0:12", "--steps", "13"],
      {"sweep"}),
     (["corpus", "--count", "3", "--max-degree", "4"], {"corpus", "root_oracle"}),
@@ -219,7 +222,8 @@ class TestImportBudget:
 
     @pytest.mark.parametrize("argv, needed", COMMAND_MODULES,
                              ids=["analyze", "analyze-json", "analyze-oracle",
-                                  "compare", "sweep", "corpus"])
+                                  "compare", "compare-e-above", "sweep",
+                                  "corpus"])
     def test_command_loads_only_what_it_uses(self, argv, needed):
         loaded = loaded_modules(*argv)
         assert {"routhkit.routh", "routhkit.intpoly"} <= loaded

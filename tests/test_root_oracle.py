@@ -11,6 +11,7 @@ from fractions import Fraction
 from routhkit import (DegreeTooSmall, Lcg64, OracleUnavailable, Policy,
                       Polynomial, RootSet, classify, find_roots,
                       half_plane_counts)
+from routhkit import root_oracle
 from routhkit.corpus import random_polynomial, random_roots
 from routhkit.root_oracle import _monic_floats
 
@@ -50,8 +51,9 @@ class TestFindRoots:
             keys = [(r.real, r.imag) for r in rs.roots]
             assert keys == sorted(keys)
 
-    def test_nonconvergence_reports_flag(self):
-        rs = find_roots(Polynomial([1, 2, 1]), max_iter=2)
+    def test_nonconvergence_reports_flag(self, monkeypatch):
+        monkeypatch.setattr(root_oracle, "_MAX_SWEEPS", 2)
+        rs = find_roots(Polynomial([1, 2, 1]))
         assert not rs.converged
         assert len(rs.roots) == 2
 
@@ -156,11 +158,12 @@ class TestRoundingFloor:
         assert all(r.real < 0 and abs(r + 1) < 0.25 for r in rs.roots)
         assert half_plane_counts(rs).lhp == k
 
-    def test_one_sweep_is_not_converged(self, seed7_draws):
+    def test_one_sweep_is_not_converged(self, seed7_draws, monkeypatch):
         # the floor rule must not pass estimates that are still far off
+        monkeypatch.setattr(root_oracle, "_MAX_SWEEPS", 1)
         for poly, _, _ in seed7_draws:
             if poly.degree >= 4:
-                assert not find_roots(poly, max_iter=1).converged
+                assert not find_roots(poly).converged
 
 
 class TestMonicFloats:
@@ -206,10 +209,12 @@ class TestHalfPlaneCounts:
         counts = half_plane_counts(find_roots(Polynomial([1, 0, 1])))
         assert (counts.lhp, counts.rhp, counts.axis) == (0, 0, 2)
 
-    def test_relative_delta_for_large_roots(self):
+    def test_relative_delta_for_large_roots(self, monkeypatch):
         rs = RootSet(roots=(complex(1e-4, 1e6),), max_residual=0.0, converged=True)
-        assert half_plane_counts(rs, delta=1e-8).axis == 1
-        assert half_plane_counts(rs, delta=1e-12).rhp == 1
+        assert root_oracle._AXIS_BAND == 1e-8
+        assert half_plane_counts(rs).axis == 1
+        monkeypatch.setattr(root_oracle, "_AXIS_BAND", 1e-12)
+        assert half_plane_counts(rs).rhp == 1
 
     def test_counts_sum_to_degree(self, rng):
         for _ in range(30):
