@@ -27,9 +27,10 @@ recovered = find_roots(poly)
 print("  recovered:", [f"{r.real:+.6f}{r.imag:+.6f}j" for r in recovered.roots])
 
 # A repeated root: rounding noise in p(z) spreads the four estimates of
-# (s+1)^4 about 3e-4 around -1, and no step can settle below the relative
-# tolerance there.  The sweep stops once every residual is at the rounding
-# floor of Horner evaluation, so the run still reports converged=True.
+# (s+1)^4 about 3e-4 around -1, and no Newton correction falls below the
+# relative tolerance there.  Each estimate leaves the sweep once its residual
+# is at the rounding floor of Horner evaluation, so the run still reports
+# converged=True.
 poly = Polynomial.from_roots([-1] * 4)
 rs = find_roots(poly)
 counts = half_plane_counts(rs)

@@ -111,18 +111,21 @@ class DensePoly:
 
     def _render(self, var: str, descending: bool) -> str:
         """The nonzero terms as `c + c*var + c*var^2 ...`, in ascending or
-        descending order of powers."""
-        terms = [(k, c) for k, c in enumerate(self.coeffs) if c]
+        descending order of powers; each c reads as `str` of its Fraction."""
+        denom = self._denom
+        terms = [(k, c) for k, c in enumerate(self._ints) if c]
         if descending:
             terms.reverse()
         out = ""
         for k, c in terms:
-            mag = abs(c)
+            g = gcd(c, denom)
+            num, den = abs(c) // g, denom // g
+            mag = str(num) if den == 1 else f"{num}/{den}"
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 power = var if k == 1 else f"{var}^{k}"
-                body = power if mag == 1 else f"{mag}*{power}"
+                body = power if mag == "1" else f"{mag}*{power}"
             if out:
                 out += (" - " if c < 0 else " + ") + body
             else:

@@ -19,6 +19,11 @@ from .intpoly import DensePoly
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 
+# the largest degree `parse` accepts: the Routh entries of a degenerate input
+# grow fast with its degree, and `analyze --coeffs "s^n + 1"` takes seconds
+# at n = 96 and about four times as long at n = 128 (README, "Input size")
+MAX_DEGREE = 100
+
 # tolerance, relative to max(1, |r|), for a root to count as real and for
 # two roots to count as a conjugate pair
 _PAIR_TOL = 1e-12
@@ -52,13 +57,15 @@ class Polynomial(DensePoly):
         if not stripped:
             raise ParseError("empty polynomial text")
         if "s" in stripped:
-            coeffs = _parse_terms(stripped)
+            powers = _parse_terms(stripped)
         else:
-            coeffs = parse_coefficient_list(stripped)[::-1]
-        p = cls(coeffs)
-        if p.is_zero:
+            powers = dict(enumerate(parse_coefficient_list(stripped)[::-1]))
+        degree = max((k for k, c in powers.items() if c), default=None)
+        if degree is None:
             raise EmptyPolynomial(f"all coefficients are zero in {text!r}")
-        return p
+        if degree > MAX_DEGREE:
+            raise ParseError(f"degree {degree} exceeds the limit of {MAX_DEGREE}")
+        return cls([powers.get(k, 0) for k in range(degree + 1)])
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
@@ -190,7 +197,8 @@ def parse_coefficient_list(text: str,
     return coeffs
 
 
-def _parse_terms(text: str) -> list[Fraction]:
+def _parse_terms(text: str) -> dict[int, Fraction]:
+    """The coefficient of each power written in the sparse term form."""
     powers: dict[int, Fraction] = {}
     pos = 0
     first = True
@@ -214,8 +222,7 @@ def _parse_terms(text: str) -> list[Fraction]:
         powers[k] = powers.get(k, Fraction(0)) + sign * coef
         pos = m.end()
         first = False
-    top = max(powers)
-    return [powers.get(k, Fraction(0)) for k in range(top + 1)]
+    return powers
 
 
 def _binary_over_common_denominator(*values: float) -> tuple[list[int], int]:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from routhkit import __version__, cli
 from routhkit.cli import main, render_json
+from routhkit.polynomial import MAX_DEGREE
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -135,6 +138,24 @@ class TestAnalyze:
         assert code == 65
         assert out == ""
         assert err == "routhkit: error: bad coefficient '1/0'\n"
+
+    def test_oversized_input_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", "s^100000 + 1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (65, "")
+        assert err == ("routhkit: error: degree 100000 exceeds the limit of "
+                       f"{MAX_DEGREE}\n")
+        code, _, err = run_cli(capsys, "compare", "--coeffs", "s^100000 + 1")
+        assert (code, err.count("\n")) == (65, 1)
+
+    def test_degree_96_still_runs(self, capsys):
+        # (s^2 + 1)^48: all its roots on the axis, one zero row at s^95
+        coeffs = ",0,".join(str(comb(48, j)) for j in range(49))
+        code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--json")
+        doc = json.loads(out)
+        assert (code, doc["input"]["degree"]) == (2, 96)
+        assert doc["verdict"] == "MarginalOrSymmetric"
 
     def test_policy_unsupported_is_data_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--coeffs", "1,0,0,0,1",

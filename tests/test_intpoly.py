@@ -165,3 +165,55 @@ class TestDensePolyEquality:
         assert (a == b) == (a.coeffs == b.coeffs)
         if a == b:
             assert hash(a) == hash(b)
+
+
+def fraction_render(poly, var: str, descending: bool) -> str:
+    """The term renderer written over `coeffs`, one Fraction per term: the
+    reference that `DensePoly._render` must match byte for byte."""
+    terms = [(k, c) for k, c in enumerate(poly.coeffs) if c]
+    if descending:
+        terms.reverse()
+    out = ""
+    for k, c in terms:
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            power = var if k == 1 else f"{var}^{k}"
+            body = power if mag == 1 else f"{mag}*{power}"
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = "-" + body if c < 0 else body
+    return out or "0"
+
+
+class TestRender:
+    """`_render` reads each coefficient from the integers over the shared
+    denominator, with one gcd; the text is what the Fractions print."""
+
+    @pytest.mark.parametrize("ints, denom, text", [
+        ([], 1, "0"),
+        ([1], 1, "1"),
+        ([-1], 1, "-1"),
+        ([0, 1], 1, "s"),
+        ([0, -1], 1, "-s"),
+        ([3, 0, -6], 6, "-s^2 + 1/2"),
+        ([-4, 6, 0, 2], 4, "1/2*s^3 + 3/2*s - 1"),
+        ([5, 0, 0, -10, 15], 5, "3*s^4 - 2*s^3 + 1"),
+        ([7, -7], 21, "-1/3*s + 1/3"),
+    ])
+    def test_known_texts(self, ints, denom, text):
+        poly = Polynomial._raw(ints, denom)
+        assert str(poly) == text == fraction_render(poly, "s", True)
+
+    @settings(max_examples=500)
+    @given(st.lists(st.integers(-12, 12), max_size=7), st.integers(1, 36),
+           st.sampled_from((Polynomial, EpsPoly)))
+    def test_matches_fraction_route(self, ints, denom, cls):
+        while ints and not ints[-1]:
+            ints.pop()
+        poly = cls._raw(ints, denom)
+        for var, descending in (("s", True), ("e", False)):
+            assert poly._render(var, descending) == \
+                fraction_render(poly, var, descending)

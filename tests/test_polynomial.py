@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from routhkit import (EmptyPolynomial, EpsPoly, ParseError, Polynomial,
                       UnpairedComplexRoot)
+from routhkit.polynomial import MAX_DEGREE
 from conftest import random_fraction
 
 QUARTIC = Polynomial([1, 0, 0, 0, 1])
@@ -47,6 +48,17 @@ class TestParse:
         for bad in ("0", "0,0,0", "0*s"):
             with pytest.raises(EmptyPolynomial):
                 Polynomial.parse(bad)
+
+    def test_degree_limit(self):
+        limit = MAX_DEGREE
+        assert Polynomial.parse(f"s^{limit} + 1").degree == limit
+        assert Polynomial.parse(",".join(["1"] * (limit + 1))).degree == limit
+        # a zero term above the limit does not raise the degree
+        assert Polynomial.parse(f"0*s^{limit + 1} + s + 1").degree == 1
+        for text in (f"s^{limit + 1} + 1", ",".join(["1"] * (limit + 2)),
+                     "s^1000000000000 + 1"):
+            with pytest.raises(ParseError, match=f"exceeds the limit of {limit}$"):
+                Polynomial.parse(text)
 
     @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
                     min_size=1, max_size=8).filter(lambda cs: any(cs)))

@@ -222,3 +222,69 @@ class TestHalfPlaneCounts:
             poly = Polynomial.from_roots(random_roots(rng, degree))
             counts = half_plane_counts(find_roots(poly))
             assert counts.lhp + counts.rhp + counts.axis == degree
+
+
+class TestSettledEstimates:
+    """An estimate leaves the sweep once its Newton correction is below _TOL
+    or its residual is at the rounding floor; converged=True means every
+    estimate left that way."""
+
+    @staticmethod
+    def settled(poly: Polynomial, z: complex) -> bool:
+        """Either settle test, read at z as find_roots reads it."""
+        mono = _monic_floats(poly)
+        value = slope = 0j
+        for c in reversed(mono):
+            slope = slope * z + value
+            value = value * z + c
+        if slope != 0 and abs(value / slope) < root_oracle._TOL * (1 + abs(z)):
+            return True
+        size = sum(abs(c) * abs(z) ** k for k, c in enumerate(mono))
+        floor = (len(mono) - 1) * root_oracle._HORNER_ROUNDING
+        return abs(value) <= floor * size
+
+    def test_corpus_roots_pass_a_settle_test(self, seed7_draws):
+        # the guarantee is that each test held one correction earlier; on
+        # these draws the returned roots pass it themselves
+        for poly, _, rs in seed7_draws:
+            assert rs.converged
+            assert all(self.settled(poly, r) for r in rs.roots), str(poly)
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_repeated_real_root_settles(self, k):
+        poly = Polynomial.from_roots([-1] * k)
+        rs = find_roots(poly)
+        assert rs.converged
+        assert all(self.settled(poly, r) for r in rs.roots)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24, 47, 64, 96])
+    def test_unit_circle_families_converge(self, n):
+        # s^n + 1 and 1 + s + ... + s^n: every root on the unit circle, the
+        # first with all middle coefficients zero
+        for poly in (Polynomial([1] + [0] * (n - 1) + [1]),
+                     Polynomial([1] * (n + 1))):
+            rs = find_roots(poly)
+            assert rs.converged, str(poly)
+            assert len(rs.roots) == n
+            assert max(abs(abs(r) - 1) for r in rs.roots) < 1e-6
+            assert rs.max_residual < 1e-12
+
+    def test_starts_follow_the_newton_polygon(self):
+        # s^2 + 1e6 s + 1: one root near -1e-6, one near -1e6
+        radii = sorted(abs(z) for z in root_oracle._starts(
+            _monic_floats(Polynomial([1, 10 ** 6, 1]))))
+        assert radii == pytest.approx([1e-6, 1e6])
+        # a zero constant term starts a root at the origin
+        starts = root_oracle._starts(_monic_floats(Polynomial([0, 0, 1, 1])))
+        assert starts[:2] == [0j, 0j] and abs(starts[2]) == 1
+
+    @pytest.mark.parametrize("coeffs", [[2, 3, 1], [-6, -7, 0, 1],
+                                        [1, 4, 6, 4, 1], [0, 0, 1, 1]])
+    def test_coincident_starts_are_nudged_apart(self, monkeypatch, coeffs):
+        monkeypatch.setattr(root_oracle, "_starts",
+                            lambda mono: [0.5 + 0.5j] * (len(mono) - 1))
+        poly = Polynomial(coeffs)
+        rs = find_roots(poly)
+        assert rs.converged
+        assert rs.max_residual < 1e-9
+        assert len(rs.roots) == poly.degree
