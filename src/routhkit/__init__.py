@@ -4,8 +4,10 @@ Counts the right-half-plane roots of a real polynomial through the Routh
 array, with all arithmetic performed exactly in the field of rational
 functions of a formal positive infinitesimal, so degenerate rows (zero
 first elements, all-zero rows) are handled without any floating-point
-tolerance.  A Hurwitz-determinant criterion and a simultaneous-iteration
-root solver provide two independent cross-checks.
+tolerance.  The Hurwitz criterion (`hurwitz_stable`) reads its minors from
+the same fraction-free pass, so the independent exact referee is
+`leading_minors`, each minor its own determinant; a simultaneous-iteration
+root solver (`find_roots`) is the independent numeric check.
 """
 
 from importlib import import_module

@@ -29,7 +29,7 @@ from functools import total_ordering
 from math import gcd
 from typing import Union
 
-from .intpoly import DensePoly, eval_homogeneous, gcd_cofactors
+from .intpoly import DensePoly, eval_homogeneous, gcd_cofactors, lowest_nonzero
 
 Rational = Fraction
 
@@ -101,7 +101,7 @@ def _canonicalize(num: EpsPoly, den: EpsPoly) -> tuple[EpsPoly, EpsPoly]:
     da = [c // cd for c in den._ints]
     if len(na) > 1 and len(da) > 1:
         _, na, da = gcd_cofactors(na, da)
-    low = next(c for c in da if c)
+    low = lowest_nonzero(da)
     # num/den = scale * na / (da/low); the contents and denominators go
     # into scale
     scale = Fraction(cn * den._denom, cd * num._denom * low)
@@ -173,10 +173,9 @@ class EpsRat:
         Canonical form makes the denominator positive for small e, so the
         sign is that of the lowest-order nonzero numerator coefficient.
         """
-        num = self.num
-        if num.is_zero:
+        if self.num.is_zero:
             return 0
-        return 1 if num._ints[num.valuation] > 0 else -1
+        return 1 if lowest_nonzero(self.num._ints) > 0 else -1
 
     def limit(self):
         """Value at e = 0, or POLE_AT_ZERO when the denominator vanishes."""
@@ -194,63 +193,50 @@ class EpsRat:
 
     # -- field arithmetic ---------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return EpsRat(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+    def _operators(op):
+        """The forward and reflected dunders of `op`, an operator on two
+        EpsRat values, as in `fractions.Fraction._operator_fallbacks`: an
+        int or Fraction operand is lifted, any other gives NotImplemented."""
 
-    __radd__ = __add__
+        def forward(a, b):
+            if not isinstance(b, EpsRat):
+                if not isinstance(b, (int, Fraction)):
+                    return NotImplemented
+                b = EpsRat.from_rational(b)
+            return op(a, b)
+
+        def reverse(b, a):
+            # Python reflects only to an operand of another type
+            if not isinstance(a, (int, Fraction)):
+                return NotImplemented
+            return op(EpsRat.from_rational(a), b)
+
+        return forward, reverse
+
+    def _add(a, b):
+        return EpsRat(a.num * b.den + b.num * a.den, a.den * b.den)
+
+    def _sub(a, b):
+        return EpsRat(a.num * b.den - b.num * a.den, a.den * b.den)
+
+    def _mul(a, b):
+        return EpsRat(a.num * b.num, a.den * b.den)
+
+    def _div(a, b):
+        if b.is_zero:
+            raise ZeroDivisionError("EpsRat division by zero")
+        return EpsRat(a.num * b.den, a.den * b.num)
+
+    __add__, __radd__ = _operators(_add)
+    __sub__, __rsub__ = _operators(_sub)
+    __mul__, __rmul__ = _operators(_mul)
+    __truediv__, __rtruediv__ = _operators(_div)
+    # == and < need no reflected form: Python reflects them to == and >
+    __eq__ = _operators(lambda a, b: a.num == b.num and a.den == b.den)[0]
+    __lt__ = _operators(lambda a, b: (a - b).sign() < 0)[0]
 
     def __neg__(self):
         return EpsRat._canonical(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return EpsRat(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("EpsRat division by zero")
-        return EpsRat(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
 
     def __bool__(self):
         return not self.num.is_zero
@@ -277,14 +263,6 @@ def _as_poly(value) -> EpsPoly:
     if isinstance(value, (int, Fraction)):
         return EpsPoly((value,))
     raise TypeError(f"cannot build EpsPoly from {type(value).__name__}")
-
-
-def _coerce(value):
-    if isinstance(value, EpsRat):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return EpsRat.from_rational(value)
-    return NotImplemented
 
 
 #: The formal positive infinitesimal.

@@ -4,10 +4,10 @@
 A polynomial is held as a list of integer coefficients ascending by power,
 with no trailing zero (the `_ints` form), over one shared positive
 denominator, the only form a `DensePoly` stores.  The functions below take
-and return such lists: product, primitive part, gcd with cofactors
-(GCDHEU, then the primitive PRS), exact and pseudo division, Horner
-evaluation at an integer or, homogeneously, at a rational point, and the
-fraction-free Routh recurrence over Z and Z[x] that `routh`, `hurwitz` and
+and return such lists: product, sign as e -> 0+, primitive part, gcd
+with cofactors (GCDHEU, then the primitive PRS), exact and pseudo division,
+Horner evaluation at an integer or, homogeneously, at a rational point, and
+the fraction-free Routh recurrence over Z and Z[x] that `routh`, `hurwitz` and
 `sweep` share, with the step that carries it over a zero first entry.  They
 never mutate their inputs.
 """
@@ -156,6 +156,12 @@ def poly_mul(a: list[int], b: list[int]) -> list[int]:
                 out[j] += ca * cb
     # a product of nonzero leading coefficients is nonzero
     return out
+
+
+def lowest_nonzero(coeffs: list[int]) -> int:
+    """The lowest-order nonzero coefficient of a nonzero polynomial in e,
+    whose sign is the polynomial's sign as e -> 0+."""
+    return next(c for c in coeffs if c)
 
 
 def _primitive(coeffs: list[int]) -> list[int]:

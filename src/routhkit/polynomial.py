@@ -19,8 +19,8 @@ from .intpoly import DensePoly
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 
-# the largest degree `parse` accepts: the Routh entries of a degenerate input
-# grow fast with its degree, and `analyze --coeffs "s^n + 1"` takes seconds
+# the largest degree of a parsed polynomial or sweep template: Routh entries
+# of a degenerate input grow fast with the degree; `s^n + 1` takes seconds
 # at n = 96 and about four times as long at n = 128 (README, "Input size")
 MAX_DEGREE = 100
 
@@ -63,8 +63,7 @@ class Polynomial(DensePoly):
         degree = max((k for k, c in powers.items() if c), default=None)
         if degree is None:
             raise EmptyPolynomial(f"all coefficients are zero in {text!r}")
-        if degree > MAX_DEGREE:
-            raise ParseError(f"degree {degree} exceeds the limit of {MAX_DEGREE}")
+        check_degree(degree)
         return cls([powers.get(k, 0) for k in range(degree + 1)])
 
     @classmethod
@@ -176,6 +175,12 @@ class Polynomial(DensePoly):
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def check_degree(degree: int) -> None:
+    """Refuse a degree above `MAX_DEGREE` with a ParseError."""
+    if degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the limit of {MAX_DEGREE}")
 
 
 def parse_coefficient_list(text: str,

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 from .errors import (DegreeTooSmall, EpsContaminatedRow, OracleUnavailable,
                      OriginRoot, PolicyUnsupported)
-from .intpoly import cancel_gcd, fraction_free_rows, poly_mul
+from .intpoly import cancel_gcd, fraction_free_rows, lowest_nonzero, poly_mul
 from .polynomial import Polynomial
 
 if TYPE_CHECKING:
@@ -258,7 +258,7 @@ def _reduced(row: list, div) -> tuple[list, Any]:
         g = gcd(*row, div) if div > 0 else -gcd(*row, div)
         return [x // g for x in row], div // g
     *row, div = cancel_gcd([*row, div])
-    if _lowest(div) < 0:
+    if lowest_nonzero(div) < 0:
         row, div = [[-c for c in x] for x in row], [-c for c in div]
     return row, div
 
@@ -279,19 +279,13 @@ def _entries(row: list, div) -> tuple[EpsRat, ...]:
     return tuple(EpsRat(EpsPoly._raw(x, 1), den) for x in row)
 
 
-def _lowest(x: list[int]) -> int:
-    """The lowest-order nonzero coefficient of a polynomial in e, whose
-    sign is the polynomial's sign as e -> 0+."""
-    return next(c for c in x if c)
-
-
 def count_sign_changes(array: RouthArray) -> tuple[tuple[int, ...], int]:
     """First-column signs (each +1/-1) and the number of adjacent flips."""
     column = []
     for row, div in array.built:
         x = row[0]
         if type(div) is not int:
-            x, div = _lowest(x), _lowest(div)
+            x, div = lowest_nonzero(x), lowest_nonzero(div)
         column.append(1 if (x > 0) == (div > 0) else -1)
     signs = tuple(column)
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)

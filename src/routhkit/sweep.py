@@ -28,13 +28,12 @@ Delta_{n-1} rules out an origin root.  A negative leading coefficient only
 negates every row.  The verdict is therefore the one `classify` gives,
 under every policy.
 
-Fallbacks.  A sample at which a_n or some minor vanishes goes through
-`classify` on its own polynomial.  A template with a minor that is the zero
-polynomial, such as `1,0,K` (an all-zero row included), sends every sample
-there.  On that path a sample whose degree falls below the
-template's (a zero K in the leading slot) belongs to another polynomial
-family, and a sample that the policy refuses has no verdict; both read
-Undetermined.
+Fallback.  A sample at which a_n or some minor vanishes goes through
+`classify` on its own polynomial; a minor that is the zero polynomial, as
+in `1,0,K` (an all-zero row included), vanishes at every sample.  On that
+path a sample whose degree falls below the template's (a zero K in the
+leading slot) belongs to another polynomial family, and a sample that the
+policy refuses has no verdict; both read Undetermined.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import NamedTuple, Optional
 
 from .errors import MultipleParameters, NoParameter, PolicyUnsupported
 from .intpoly import eval_homogeneous, fraction_free_rows
-from .polynomial import Polynomial, parse_coefficient_list
+from .polynomial import Polynomial, check_degree, parse_coefficient_list
 from .routh import Policy, Verdict, classify
 
 
@@ -70,19 +69,17 @@ def parse_template(text: str) -> list[Optional[Fraction]]:
     return slots
 
 
-def _column_polynomials(descending: list) -> Optional[list[list[int]]]:
+def _column_polynomials(descending: list) -> list[list[int]]:
     """a_n and the leading Hurwitz minors Delta_1 .. Delta_n of the template,
     as integer polynomials in K scaled by powers of D (see the module
-    docstring).  None when some minor is the zero polynomial."""
+    docstring), up to the first that is the zero polynomial."""
     d = lcm(*(c.denominator for c in descending if c is not None))
     ints = [[0, d] if c is None else [c.numerator * (d // c.denominator)] if c
             else [] for c in descending]
     if len(ints) == 1:
         return ints
-    rows = fraction_free_rows(ints[0::2], ints[1::2], len(ints))
-    if not rows[-1][0]:
-        return None
-    return [row[0] for row in rows]
+    return [row[0] for row in
+            fraction_free_rows(ints[0::2], ints[1::2], len(ints))]
 
 
 def _classified(slots: list[Optional[Fraction]], value: Fraction, degree: int,
@@ -107,6 +104,7 @@ def run_sweep(template_text: str, lo: Fraction, hi: Fraction, steps: int,
     # the highest slot holding K or a nonzero literal fixes the degree
     lead = next(i for i, c in enumerate(slots) if c is None or c)
     degree = len(slots) - 1 - lead
+    check_degree(degree)
     polys = _column_polynomials(slots[lead:])
 
     # sample i is (lo*(m - i) + hi*i)/m with m = steps - 1, written as N/D
@@ -117,8 +115,8 @@ def run_sweep(template_text: str, lo: Fraction, hi: Fraction, steps: int,
     for i in range(steps):
         n = lo_n * (m - i) + hi_n * i
         value = Fraction(n, d)
-        values = polys and [eval_homogeneous(p, n, d) for p in polys]
-        if values and all(values):
+        values = [eval_homogeneous(p, n, d) for p in polys]
+        if all(values):
             # no sign change down a_n, Delta_1, Delta_2/Delta_1, ...: a_n
             # and the odd minors share a sign, and the even ones are positive
             negative = values[0] < 0

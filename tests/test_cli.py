@@ -411,6 +411,16 @@ class TestSweep:
                              "--range", "0:1", "--steps", "5")
         assert code == 65
 
+    def test_template_above_the_degree_limit_is_refused_at_once(self, capsys):
+        template = ",".join(["1"] * (MAX_DEGREE + 1) + ["K"])
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--coeffs", template,
+                                 "--range", "0:1", "--steps", "3")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (65, "")
+        assert err == (f"routhkit: error: degree {MAX_DEGREE + 1} exceeds "
+                       f"the limit of {MAX_DEGREE}\n")
+
     def test_bad_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--coeffs", "1,K", "--range", "oops",

@@ -71,6 +71,52 @@ class TestEpsArithmetic:
         assert ONE / EPSILON > 10 ** 12
 
 
+class TestOperandContract:
+    """An int or Fraction operand acts as its EpsRat lift, on either side;
+    any other operand is refused."""
+
+    X = (2 * EPSILON - 5) / (EPSILON * EPSILON + 3)
+    OPS = [lambda a, b: a + b, lambda a, b: a - b,
+           lambda a, b: a * b, lambda a, b: a / b]
+
+    @pytest.mark.parametrize("other", ["1", 1.5, 1j, None])
+    def test_foreign_operand_is_refused(self, other):
+        for op in self.OPS:
+            with pytest.raises(TypeError):
+                op(self.X, other)
+            with pytest.raises(TypeError):
+                op(other, self.X)
+        assert not (self.X == other) and not (other == self.X)
+        assert self.X != other
+        with pytest.raises(TypeError):
+            self.X < other
+        with pytest.raises(TypeError):
+            other < self.X
+
+    @pytest.mark.parametrize("q", [0, 1, -4, Fraction(1, 3), Fraction(-7, 2)])
+    def test_rational_operand_acts_as_its_lift(self, q):
+        x, lifted = self.X, EpsRat.from_rational(q)
+        for op in self.OPS:
+            for a, b, la, lb in ((x, q, x, lifted), (q, x, lifted, x)):
+                try:
+                    expected = op(la, lb)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        op(a, b)
+                    continue
+                assert op(a, b) == expected
+        assert (x == q) is (x == lifted) is False
+        assert (x < q) is (x < lifted) and (q < x) is (lifted < x)
+        assert (lifted == q) and (q == lifted) and not (lifted < q)
+
+    def test_reflected_forms(self):
+        x = self.X
+        one, two, three = (EpsRat.from_rational(v) for v in (1, 2, 3))
+        assert 1 - x == one - x == -(x - 1)
+        assert 2 / x == two / x == 1 / (x / 2)
+        assert 3 * x == three * x == x * 3
+
+
 class TestEpsSign:
     def test_pole_with_positive_limit(self):
         x = (EpsRat.from_rational(6) - 7 * EPSILON) / EPSILON

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routhkit import Policy, Polynomial, PolicyUnsupported, classify, run_sweep
+from routhkit import (ParseError, Policy, Polynomial, PolicyUnsupported,
+                      classify, run_sweep)
+from routhkit import polynomial
 from routhkit import sweep as sweep_module
 from routhkit.sweep import parse_template
 
@@ -60,6 +62,23 @@ def test_leading_zero_literal_is_skipped():
     result = run_sweep("0,K,1,1", Fraction(-1), Fraction(1), 5)
     assert [v for _, v in result.samples] == \
         ["Unstable", "Unstable", "Undetermined", "Stable", "Stable"]
+
+
+def test_degree_limit_counts_from_the_highest_k_or_nonzero_slot():
+    # leading zeros above the limit do not count towards the degree
+    zeros = ",".join(["0"] * (polynomial.MAX_DEGREE + 5))
+    result = run_sweep(f"{zeros},1,3,3,K", Fraction(0), Fraction(12), 13)
+    assert result == run_sweep("1,3,3,K", Fraction(0), Fraction(12), 13)
+
+
+def test_template_at_the_degree_limit_is_accepted(monkeypatch):
+    monkeypatch.setattr(polynomial, "MAX_DEGREE", 3)
+    result = run_sweep("1,3,3,K", Fraction(0), Fraction(12), 13)
+    assert result.intervals == ((Fraction(1), Fraction(8)),)
+    with pytest.raises(ParseError, match="^degree 4 exceeds the limit of 3$"):
+        run_sweep("1,1,3,3,K", Fraction(0), Fraction(12), 13)
+    with pytest.raises(ParseError, match="^degree 4 exceeds the limit of 3$"):
+        run_sweep("K,1,3,3,0", Fraction(0), Fraction(12), 13)
 
 
 def test_refused_sample_is_undetermined():
