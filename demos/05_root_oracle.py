@@ -1,4 +1,4 @@
-"""The numeric ground truth: simultaneous root iteration.
+"""The numeric cross-check: simultaneous root iteration.
 
 All root estimates are refined at once (no deflation), then classified by
 half-plane with a magnitude-relative axis band.  Residuals make the answer

@@ -37,7 +37,8 @@ class EpsContaminatedRow(PolicyUnsupported):
 
 class OracleUnavailable(RouthKitError):
     """The float root oracle cannot run on this polynomial: its monic
-    coefficients leave the range of a double."""
+    coefficients leave the range of a double, or a residual at its roots is
+    not finite."""
 
 
 class NoParameter(RouthKitError, ValueError):

@@ -83,15 +83,14 @@ def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
     if p._ints[-1] < 0:
         raise ValueError("leading coefficient must be positive; normalize first")
     n, top, d = p.degree, p._ints[::-1], p._denom
-    rows = fraction_free_rows(top[0::2], top[1::2], n + 1)
+    rows = fraction_free_rows(top[0::2], top[1::2])
     ints = [row[0] for row in rows[1:]]
     while len(ints) < n and any(rows[-1]):
         b, a = ([1, 1] + ints)[-3:-1]   # Delta_{m-2}, Delta_{m-1}
         g, delta, f0, f1 = bridge_gap(rows[-2], rows[-1], a, b)
         ints += [0] * (2 * g - 2) + [delta, f0[0]]
         if len(ints) < n:
-            rows = fraction_free_rows(f0, f1, n + 1 - len(ints),
-                                      pivots=(delta, f0[0]))
+            rows = fraction_free_rows(f0, f1, pivots=(delta, f0[0]))
             ints += [row[0] for row in rows[1:]]
     ints += [0] * (n - len(ints))   # after a zero row
     minors = tuple(Fraction(m, d ** k) for k, m in enumerate(ints, 1))

@@ -339,11 +339,10 @@ def sylvester_row_poly(f2: list[list[int]], f1: list[list[int]],
     return row if div is None else [_int_div_exact(x, div) for x in row]
 
 
-def fraction_free_rows(f0: list, f1: list, count: int,
-                       pivots=(None, None)) -> list[list]:
+def fraction_free_rows(f0: list, f1: list, pivots=(None, None)) -> list[list]:
     """The fraction-free Routh rows F_0, F_1, F_2, ... that start from f0
-    and f1, up to `count` rows; the list stops early after the first row
-    whose first entry is zero.
+    and f1, through the row after the first one-entry row; the list stops
+    early after the first row whose first entry is zero.
 
     F_{k+1}[j] = (F_k[0] F_{k-1}[j+1] - F_{k-1}[0] F_k[j+1]) / Delta_{k-2}
     with Delta_m = F_m[0] and Delta_0 = Delta_{-1} = 1: `sylvester_row`
@@ -360,7 +359,7 @@ def fraction_free_rows(f0: list, f1: list, count: int,
     """
     step = sylvester_row_poly if type(f0[0]) is list else sylvester_row
     rows = [f0, f1]
-    while len(rows) < count and rows[-1][0]:
+    while len(rows[-2]) > 1 and rows[-1][0]:
         k = len(rows)
         rows.append(step(rows[-2], rows[-1],
                          rows[k - 3][0] if k > 3 else pivots[k - 2]))

@@ -70,61 +70,53 @@ class Polynomial(DensePoly):
     def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
         """Monic polynomial with the given roots.
 
-        Non-real roots must occur in conjugate pairs (within `_PAIR_TOL`).
-        Real and paired factors are expanded exactly, as integer polynomials
-        over one common denominator (float components are exact binary
-        rationals), then each coefficient is rounded to the nearest fraction
-        with denominator <= 10**6.  When the reduced common denominator
-        already fits, the rounding is the identity, and the product is
-        returned in integer form without it.
-        A float expansion cross-checks that imaginary residue stays below
-        1e-9 relative to the largest coefficient.
+        A root within `_PAIR_TOL` of the real axis enters as real; the others
+        must pair off into conjugates within `_PAIR_TOL`.  Float components
+        are binary rationals, so over D, the largest of their power-of-two
+        denominators, the factors D s - a_j - i b_j expand once, exactly, over
+        the Gaussian integers.  The real part is D^n times the polynomial; the
+        imaginary part, which exact conjugates cancel, must stay within 1e-9
+        of the largest coefficient.  Coefficients are rounded to the nearest
+        fraction with denominator <= 10**6, a step skipped when the reduced
+        common denominator already fits.
         """
-        items = [complex(r) for r in roots]
-        reals: list[float] = []
+        comps: list[tuple[float, float]] = []
         pos: list[complex] = []
         neg: list[complex] = []
-        for r in items:
+        for r in map(complex, roots):
             if abs(r.imag) <= _PAIR_TOL * max(1.0, abs(r)):
-                reals.append(r.real)
-            elif r.imag > 0:
-                pos.append(r)
-            else:
-                neg.append(r)
+                comps.append((r.real, 0.0))
+                continue
+            comps.append((r.real, r.imag))
+            (pos if r.imag > 0 else neg).append(r)
         if len(pos) != len(neg):
             raise UnpairedComplexRoot(
                 f"{len(pos)} roots above the real axis vs {len(neg)} below")
-        pairs: list[tuple[complex, complex]] = []
-        unmatched = list(neg)
         for r in pos:
-            dists = [abs(r - u.conjugate()) for u in unmatched]
+            dists = [abs(r - u.conjugate()) for u in neg]
             best = min(range(len(dists)), key=dists.__getitem__)
             if dists[best] > _PAIR_TOL * max(1.0, abs(r)):
                 raise UnpairedComplexRoot(f"no conjugate partner for root {r}")
-            pairs.append((r, unmatched.pop(best)))
+            neg.pop(best)
 
-        product = cls._raw([1], 1)
-        for x in reals:
-            a, d = x.as_integer_ratio()
-            product *= cls._raw([-a, d], d)             # (d*s - a) / d
-        for r, u in pairs:
-            (re1, re2, im1, im2), d = _binary_over_common_denominator(
-                r.real, u.real, r.imag, u.imag)
-            # (s - r)(s - u) = (d^2 s^2 - d(re1 + re2) s + re1 re2 - im1 im2) / d^2
-            product *= cls._raw([re1 * re2 - im1 * im2, -d * (re1 + re2), d * d],
-                                d * d)
+        ratios = [x.as_integer_ratio() for ab in comps for x in ab]
+        d = max((q for _, q in ratios), default=1)
+        nums = [n * (d // q) for n, q in ratios]
+        re, im = [1], [0]
+        for a, b in zip(nums[0::2], nums[1::2]):
+            # (re + i im)(d s - a - i b), ascending in s
+            x, y = [*re, 0], [*im, 0]
+            re = [d * p - a * q + b * r for p, q, r in zip([0, *re], x, y)]
+            im = [d * p - a * r - b * q for p, q, r in zip([0, *im], x, y)]
+        residue = max(map(abs, im))
+        if 10 ** 9 * residue > max(map(abs, re)):
+            raise UnpairedComplexRoot(f"imaginary residue {residue / re[-1]:.3e} "
+                                      "exceeds tolerance after pairing")
 
-        approx = _expand_complex(items)
-        scale = max(1.0, max(abs(c) for c in approx))
-        residue = max(abs(c.imag) for c in approx)
-        if residue > 1e-9 * scale:
-            raise UnpairedComplexRoot(
-                f"imaginary residue {residue:.3e} exceeds tolerance after pairing")
-
-        g = gcd(product._denom, *product._ints)
-        if product._denom // g <= 10 ** 6:
-            return cls._raw([c // g for c in product._ints], product._denom // g)
-        return cls([c.limit_denominator(10 ** 6) for c in product.coeffs])
+        g = gcd(re[-1], *re)
+        if re[-1] // g <= 10 ** 6:
+            return cls._raw([c // g for c in re], re[-1] // g)
+        return cls([Fraction(c, re[-1]).limit_denominator(10 ** 6) for c in re])
 
     # -- accessors ------------------------------------------------------------
 
@@ -229,24 +221,3 @@ def _parse_terms(text: str) -> dict[int, Fraction]:
         first = False
     return powers
 
-
-def _binary_over_common_denominator(*values: float) -> tuple[list[int], int]:
-    """Exact integer numerators of finite floats over one shared denominator.
-
-    A float's exact denominator is a power of two, so the largest of them is
-    a multiple of every other.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    denom = max(d for _, d in ratios)
-    return [n * (denom // d) for n, d in ratios], denom
-
-
-def _expand_complex(roots: Sequence[complex]) -> list[complex]:
-    coeffs = [1.0 + 0j]
-    for r in roots:
-        nxt = [0j] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] -= r * c
-        coeffs = nxt
-    return coeffs

@@ -1,4 +1,7 @@
-"""Independent numeric ground truth: all complex roots, counted by half-plane.
+"""Independent numeric cross-check: all complex roots, counted by half-plane.
+
+Not ground truth: a repeated pair of roots on the imaginary axis can be
+split off it into the half-planes with `converged` set.
 
 The solver is the Ehrlich-Aberth iteration on the monic-normalized
 polynomial, applied in place (Gauss-Seidel), so an estimate's update already

@@ -192,7 +192,7 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
     while True:
         # one segment: its row m is F_m over scales[m % 2] * Delta_{m-1}
         times = int.__mul__ if type(scales[0]) is int else poly_mul
-        chain = fraction_free_rows(f0, f1, n + 1 - len(built))
+        chain = fraction_free_rows(f0, f1)
         built += [(f, scales[m & 1] if m < 2
                    else times(scales[m & 1], chain[m - 1][0]))
                   for m, f in enumerate(chain)]

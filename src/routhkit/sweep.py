@@ -79,7 +79,7 @@ def _column_polynomials(descending: list) -> list[list[int]]:
     if len(ints) == 1:
         return ints
     return [row[0] for row in
-            fraction_free_rows(ints[0::2], ints[1::2], len(ints))]
+            fraction_free_rows(ints[0::2], ints[1::2])]
 
 
 def _classified(slots: list[Optional[Fraction]], value: Fraction, degree: int,

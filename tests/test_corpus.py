@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
+
 from routhkit import Lcg64, OracleUnavailable, root_oracle
 from routhkit.corpus import random_roots, run_corpus
 
@@ -46,3 +48,10 @@ def test_unavailable_oracle_is_a_recorded_disagreement(monkeypatch):
         assert item.routh_rhp == item.expected_rhp
         assert item.events[-1] == ("OracleUnavailable: the monic "
                                    "coefficients leave the float range")
+
+
+def test_run_corpus_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        run_corpus(0, 6, 1)
+    with pytest.raises(ValueError, match="^max_degree must be between 2 and 12$"):
+        run_corpus(1, 13, 1)

@@ -168,6 +168,24 @@ class TestCanonicalForm:
             again = EpsRat(x.num, x.den)
             assert again.num == x.num and again.den == x.den
 
+    @given(eps_rats, eps_rats.filter(bool))
+    def test_equal_values_hash_alike(self, a, c):
+        # equal values reach one canonical form, e-carrying ones included
+        b = a * c / c
+        assert b == a and hash(b) == hash(a) and {a: "a"}[b] == "a"
+
+    def test_epsilon_through_a_product_finds_itself(self):
+        x = EPSILON * 3 / 3
+        assert hash(x) == hash(EPSILON) and {EPSILON: "e"}[x] == "e"
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="^zero polynomial has no valuation$"):
+            EpsPoly().valuation
+        with pytest.raises(ZeroDivisionError, match="^denominator vanishes at e=0$"):
+            (1 / EPSILON).evaluate(0)
+        with pytest.raises(TypeError, match="^cannot build EpsPoly from str$"):
+            EpsRat("x")
+
     def test_rendering(self):
         x = (EpsRat.from_rational(6) - 7 * EPSILON) / EPSILON
         assert str(x) == "(6 - 7*e)/(e)"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from routhkit import (DegreeTooSmall, ExactMatrix, Lcg64, Polynomial, build_array,
+from routhkit import (DegreeTooSmall, ExactMatrix, Lcg64, OriginRoot, Polynomial, build_array,
                       count_sign_changes, hurwitz_matrix, hurwitz_stable,
                       leading_minors)
 from routhkit import hurwitz
@@ -55,6 +55,10 @@ class TestHurwitzMatrix:
     def test_degree_too_small(self):
         with pytest.raises(DegreeTooSmall):
             hurwitz_matrix(Polynomial([3]))
+
+    def test_negative_leading_coefficient(self):
+        with pytest.raises(ValueError, match="^leading coefficient must be positive"):
+            hurwitz_matrix(Polynomial([1, -1]))
 
 
 class TestLeadingMinors:
@@ -108,6 +112,14 @@ class TestLeadingMinors:
 
 
 class TestHurwitzStable:
+    def test_preconditions(self):
+        with pytest.raises(DegreeTooSmall):
+            hurwitz_stable(Polynomial([3]))
+        with pytest.raises(OriginRoot):
+            hurwitz_stable(Polynomial([0, 1, 1]))
+        with pytest.raises(ValueError, match="^leading coefficient must be positive"):
+            hurwitz_stable(Polynomial([1, 1, -1]))
+
     def test_stable_cubic(self):
         decision = hurwitz_stable(Polynomial([4, 3, 2, 1]))
         assert decision.stable

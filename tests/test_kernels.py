@@ -310,7 +310,7 @@ class TestSylvesterStep:
     """The fraction-free step divides exactly, and says so when it cannot."""
 
     # s^5 + 2s^4 + 3s^3 + 5s^2 + 7s + 11: its rows F_0..F_3 and pivots
-    ROWS = fraction_free_rows([1, 3, 7], [2, 5, 11], 6)
+    ROWS = fraction_free_rows([1, 3, 7], [2, 5, 11])
 
     def test_pivots_are_the_leading_minors(self):
         p = Polynomial([11, 7, 5, 3, 2, 1])
@@ -326,7 +326,7 @@ class TestSylvesterStep:
 
     def test_wrong_divisor_raises_over_polynomials(self):
         # the same rows with 1 + x in place of 2: F_4 divides by F_1[0]
-        rows = fraction_free_rows([[1], [3], [7]], [[1, 1], [5], [11]], 5)
+        rows = fraction_free_rows([[1], [3], [7]], [[1, 1], [5], [11]])
         f2, f1, divisor = rows[2], rows[3], rows[1][0]
         assert sylvester_row_poly(f2, f1, divisor) == rows[4]
         with pytest.raises(ArithmeticError):
@@ -346,7 +346,7 @@ class TestGapStep:
 
     # s^9 + 3s^8 + 3s^6 - s^5 + 1: F_3 = (0, 0, 3, -3), a gap of two
     # entries at row 3 under Delta_2 = -3 and Delta_1 = 3
-    ROWS = fraction_free_rows([1, 0, -1, 0, 0], [3, 3, 0, 0, 1], 10)
+    ROWS = fraction_free_rows([1, 0, -1, 0, 0], [3, 3, 0, 0, 1])
 
     def test_rows_resume_the_recurrence(self):
         p = Polynomial([1, 0, 0, 0, 0, -1, 3, 0, 3, 1])
@@ -356,7 +356,7 @@ class TestGapStep:
                                       self.ROWS[2][0], self.ROWS[1][0])
         assert g == 2 and minors[3:5] == (0, 0)
         assert [delta, f0[0], f1[0]] == list(minors[5:8])
-        rows = fraction_free_rows(f0, f1, 3, pivots=(delta, f0[0]))
+        rows = fraction_free_rows(f0, f1, pivots=(delta, f0[0]))
         assert rows[2][0] == minors[8]
 
     def test_wrong_divisor_raises(self):

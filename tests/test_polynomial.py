@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import math
 import operator
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from routhkit import (EmptyPolynomial, EpsPoly, ParseError, Polynomial,
-                      UnpairedComplexRoot)
+                      UnpairedComplexRoot, polynomial)
 from routhkit.polynomial import MAX_DEGREE
 from conftest import random_fraction
 
@@ -43,6 +45,10 @@ class TestParse:
         for bad in ("abc", "1,x,2", "s^-1", "s^", "1 + + 2", "s 1", ""):
             with pytest.raises(ParseError):
                 Polynomial.parse(bad)
+
+    def test_separators_only(self):
+        with pytest.raises(ParseError, match="^no coefficients in ','$"):
+            Polynomial.parse(",")
 
     def test_all_zero(self):
         for bad in ("0", "0,0,0", "0*s"):
@@ -134,6 +140,24 @@ class TestFromRoots:
         with pytest.raises(UnpairedComplexRoot):
             Polynomial.from_roots([1 + 2j, 1 - 2.5j])
 
+    @pytest.mark.parametrize("n", [34, 40, 64, 96])
+    def test_exact_conjugates_on_the_unit_circle(self, n):
+        # the roots of s^n + 1, each pair exactly conjugate: the product is
+        # exact, so no rounding residue can refuse them
+        roots = []
+        for k in range(n // 2):
+            z = cmath.exp(1j * math.pi * (2 * k + 1) / n)
+            roots += [z, z.conjugate()]
+        assert Polynomial.from_roots(roots) == Polynomial([1] + [0] * (n - 1) + [1])
+
+    def test_imaginary_residue_refused(self, monkeypatch):
+        # a pair that passes a loose pairing tolerance leaves an imaginary
+        # part of 1e-7 in the product, above its bound of 1e-9
+        monkeypatch.setattr(polynomial, "_PAIR_TOL", 1e-6)
+        with pytest.raises(UnpairedComplexRoot, match=r"^imaginary residue 1\.000e-07 "
+                           "exceeds tolerance after pairing$"):
+            Polynomial.from_roots([1 + 2j, complex(1, -(2 + 1e-7))])
+
     def test_residual_at_supplied_roots(self, rng):
         from routhkit.corpus import random_roots
         for _ in range(60):
@@ -160,6 +184,20 @@ class TestEvaluate:
 
     def test_exact_root(self):
         assert Polynomial([1, 2, 1]).evaluate(-1) == 0
+
+
+class TestZeroPolynomial:
+    """The zero polynomial has no degree, leading coefficient or root
+    structure, and says so."""
+
+    def test_refusals(self):
+        zero = Polynomial()
+        with pytest.raises(ValueError, match="^zero polynomial has no degree$"):
+            zero.degree
+        with pytest.raises(ValueError, match="no leading coefficient$"):
+            zero.leading_coefficient
+        with pytest.raises(ValueError, match="no root structure$"):
+            zero.strip_origin_roots()
 
 
 class TestStripOriginRoots:

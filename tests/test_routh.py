@@ -145,6 +145,10 @@ class TestAuxiliaryPolynomial:
         with pytest.raises(EpsContaminatedRow):
             auxiliary_polynomial((EPSILON, rat(1)), 2)
 
+    def test_row_too_long_for_its_power(self):
+        with pytest.raises(ValueError, match="^row of 3 entries is too long for power 2$"):
+            auxiliary_polynomial((rat(1), rat(0), rat(1)), 2)
+
 
 class TestClassify:
     def test_quartic_epsilon_row(self):

@@ -81,6 +81,11 @@ def test_template_at_the_degree_limit_is_accepted(monkeypatch):
         run_sweep("K,1,3,3,0", Fraction(0), Fraction(12), 13)
 
 
+def test_empty_range_is_refused():
+    with pytest.raises(ValueError, match="^range must satisfy lo < hi$"):
+        run_sweep("1,3,3,K", Fraction(1), Fraction(1), 5)
+
+
 def test_refused_sample_is_undetermined():
     # at K = 9, s^3 + 3s^2 + 3s + 9 = (s + 3)(s^2 + 3) has an all-zero s^1
     # row, which single-eps refuses: that sample has no verdict
