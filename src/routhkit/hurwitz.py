@@ -10,8 +10,11 @@ polynomial holds integer coefficients over one positive denominator d
 (`_ints` over `_denom`), so d times the Hurwitz matrix is an integer
 matrix, and the k-th leading minor is its integer minor Delta_k over d^k.
 These Delta_k are the pivots of the fraction-free Routh recurrence on those
-integers (`intpoly.fraction_free_rows`, which `routh.build_array` runs
-too), so one pass gives every minor.  The paper's two special cases stop
+integers (`intpoly.fraction_free_rows`), so one pass gives every minor.
+The polynomial keeps that chain once built (`Polynomial._routh_chain`), and
+the first segment of `routh.build_array` is the same chain: after
+`classify`, `hurwitz_stable` runs no recurrence step until a zero first
+entry or a zero row stops the chain.  The paper's two special cases stop
 it at a zero pivot Delta_m = F_m[0] and need no determinant: after an
 all-zero row F_m every minor is zero (by Sylvester's identity each is, up
 to a power of Delta_{m-1} != 0, a determinant with F_m as a row), and a
@@ -72,7 +75,9 @@ def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
     """Stable iff every leading principal minor is positive.
 
     The minors are the pivots of the fraction-free Routh recurrence on p's
-    integer coefficients.  A zero row ends them: every later minor is 0.
+    integer coefficients, read from the chain p keeps, which
+    `routh.build_array` reads too.  A zero row ends them: every later
+    minor is 0.
     A zero first entry is bridged by `bridge_gap`, and the recurrence
     resumes past it, so every minor comes from the one pass.
     """
@@ -82,8 +87,8 @@ def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
         raise OriginRoot("constant term is zero; strip origin roots first")
     if p._ints[-1] < 0:
         raise ValueError("leading coefficient must be positive; normalize first")
-    n, top, d = p.degree, p._ints[::-1], p._denom
-    rows = fraction_free_rows(top[0::2], top[1::2])
+    n, d = p.degree, p._denom
+    rows = p._routh_chain()
     ints = [row[0] for row in rows[1:]]
     while len(ints) < n and any(rows[-1]):
         b, a = ([1, 1] + ints)[-3:-1]   # Delta_{m-2}, Delta_{m-1}

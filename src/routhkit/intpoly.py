@@ -83,7 +83,7 @@ class DensePoly:
             a = [c * ma for c in a]
             b = [c * mb for c in b]
             denom *= ma
-        return type(self)._raw(_poly_add(a, b), denom)
+        return type(self)._raw(poly_add(a, b), denom)
 
     def __neg__(self):
         return type(self)._raw([-c for c in self._ints], self._denom)
@@ -133,7 +133,7 @@ class DensePoly:
         return out or "0"
 
 
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
+def poly_add(a: list[int], b: list[int]) -> list[int]:
     """Sum of two integer polynomials, with no trailing zero."""
     if len(a) < len(b):
         a, b = b, a
@@ -333,7 +333,7 @@ def sylvester_row_poly(f2: list[list[int]], f1: list[list[int]],
     """`sylvester_row` over Z[x]: each entry and `div` is an integer
     polynomial in the `_ints` form."""
     head, pivot = [-c for c in f2[0]], f1[0]
-    row = [_poly_add(poly_mul(pivot, b), poly_mul(head, a))
+    row = [poly_add(poly_mul(pivot, b), poly_mul(head, a))
            for b, a in zip(f2[1:], f1[1:])]
     row += [poly_mul(pivot, b) for b in f2[len(f1):]]
     return row if div is None else [_int_div_exact(x, div) for x in row]

@@ -15,7 +15,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import EmptyPolynomial, ParseError, UnpairedComplexRoot
-from .intpoly import DensePoly
+from .intpoly import DensePoly, fraction_free_rows, poly_add, poly_mul
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
 
@@ -46,7 +46,7 @@ class Polynomial(DensePoly):
     coefficient tuple) with no defined degree.
     """
 
-    __slots__ = ()
+    __slots__ = ("_chain",)
 
     # -- construction --------------------------------------------------------
 
@@ -73,50 +73,73 @@ class Polynomial(DensePoly):
         A root within `_PAIR_TOL` of the real axis enters as real; the others
         must pair off into conjugates within `_PAIR_TOL`.  Float components
         are binary rationals, so over D, the largest of their power-of-two
-        denominators, the factors D s - a_j - i b_j expand once, exactly, over
-        the Gaussian integers.  The real part is D^n times the polynomial; the
-        imaginary part, which exact conjugates cancel, must stay within 1e-9
-        of the largest coefficient.  Coefficients are rounded to the nearest
-        fraction with denominator <= 10**6, a step skipped when the reduced
-        common denominator already fits.
+        denominators, the product expands once, exactly, over the Gaussian
+        integers: a real root a as D s - a, a pair as one quadratic
+        (D s - a - i b)(D s - a' - i b').  The real part is D^n times the
+        polynomial; the imaginary part, zero for exact conjugates, must stay
+        within 1e-9 of the largest coefficient.  Coefficients are rounded to
+        denominators <= 10**6 only when the reduced common denominator is
+        larger and no coefficient of s^k moves by more than 1e-9 of its
+        bound e_{n-k}(|r_1|, ..., |r_n|).
         """
-        comps: list[tuple[float, float]] = []
+        reals: list[float] = []
         pos: list[complex] = []
         neg: list[complex] = []
         for r in map(complex, roots):
             if abs(r.imag) <= _PAIR_TOL * max(1.0, abs(r)):
-                comps.append((r.real, 0.0))
-                continue
-            comps.append((r.real, r.imag))
-            (pos if r.imag > 0 else neg).append(r)
+                reals.append(r.real)
+            else:
+                (pos if r.imag > 0 else neg).append(r)
         if len(pos) != len(neg):
             raise UnpairedComplexRoot(
                 f"{len(pos)} roots above the real axis vs {len(neg)} below")
+        pairs: list[float] = []
         for r in pos:
             dists = [abs(r - u.conjugate()) for u in neg]
             best = min(range(len(dists)), key=dists.__getitem__)
             if dists[best] > _PAIR_TOL * max(1.0, abs(r)):
                 raise UnpairedComplexRoot(f"no conjugate partner for root {r}")
-            neg.pop(best)
+            u = neg.pop(best)
+            pairs += [r.real, r.imag, u.real, u.imag]
 
-        ratios = [x.as_integer_ratio() for ab in comps for x in ab]
+        ratios = [x.as_integer_ratio() for x in reals + pairs]
         d = max((q for _, q in ratios), default=1)
         nums = [n * (d // q) for n, q in ratios]
-        re, im = [1], [0]
-        for a, b in zip(nums[0::2], nums[1::2]):
-            # (re + i im)(d s - a - i b), ascending in s
-            x, y = [*re, 0], [*im, 0]
-            re = [d * p - a * q + b * r for p, q, r in zip([0, *re], x, y)]
-            im = [d * p - a * r - b * q for p, q, r in zip([0, *im], x, y)]
-        residue = max(map(abs, im))
+        dd = d * d
+        re, im = [1], []
+        for a in nums[:len(reals)]:
+            # re (d s - a), ascending in s
+            re = [d * p - a * q for p, q in zip([0, *re], [*re, 0])]
+        it = iter(nums[len(reals):])
+        for a, b, a2, b2 in zip(it, it, it, it):
+            # (d s - a - i b)(d s - a2 - i b2) = c + i e, ascending in s
+            c0, c1 = a * a2 - b * b2, -d * (a + a2)
+            e0, e1 = a * b2 + a2 * b, -d * (b + b2)
+            if im or e0 or e1:
+                c = [c0, c1, dd]
+                re, im = (poly_add(poly_mul(re, c), poly_mul(im, [-e0, -e1])),
+                          poly_add(poly_mul(re, [e0, e1]), poly_mul(im, c)))
+            else:
+                re = [c0 * p + c1 * q + dd * r
+                      for p, q, r in zip([*re, 0, 0], [0, *re, 0], [0, 0, *re])]
+        residue = max(map(abs, im), default=0)
         if 10 ** 9 * residue > max(map(abs, re)):
             raise UnpairedComplexRoot(f"imaginary residue {residue / re[-1]:.3e} "
                                       "exceeds tolerance after pairing")
 
-        g = gcd(re[-1], *re)
-        if re[-1] // g <= 10 ** 6:
-            return cls._raw([c // g for c in re], re[-1] // g)
-        return cls([Fraction(c, re[-1]).limit_denominator(10 ** 6) for c in re])
+        lead = re[-1]
+        g = gcd(lead, *re)
+        exact = cls._raw([c // g for c in re], lead // g)
+        if lead // g <= 10 ** 6:
+            return exact
+        scale = [1.0]   # prod (s + |r_j|), ascending
+        for m in map(abs, [*reals, *map(complex, pairs[0::2], pairs[1::2])]):
+            scale = [x + m * y for x, y in zip([0.0, *scale], [*scale, 0.0])]
+        rounded = [Fraction(c, lead).limit_denominator(10 ** 6) for c in re]
+        if all(abs(float(x - Fraction(c, lead))) <= 1e-9 * s
+               for x, c, s in zip(rounded, re, scale)):
+            return cls(rounded)
+        return exact
 
     # -- accessors ------------------------------------------------------------
 
@@ -139,6 +162,16 @@ class Polynomial(DensePoly):
     def descending_strings(self) -> list[str]:
         """Coefficients as exact fraction strings, highest power first."""
         return [str(c) for c in reversed(self.coeffs)]
+
+    def _routh_chain(self) -> list[list[int]]:
+        """`intpoly.fraction_free_rows` of the integer coefficients, built
+        once: `routh.build_array` and `hurwitz.hurwitz_stable` both start
+        from it.  The lists are shared, so no caller may mutate them."""
+        chain = getattr(self, "_chain", None)
+        if chain is None:
+            top = self._ints[::-1]
+            chain = self._chain = fraction_free_rows(top[0::2], top[1::2])
+        return chain
 
     # -- operations -----------------------------------------------------------
 

@@ -10,9 +10,9 @@ sees the estimates updated before it in the same sweep:
     z_i  <-  z_i - N_i / (1 - N_i * sum_{j != i} 1 / (z_i - z_j)),
     N_i = p(z_i) / p'(z_i),
 
-with p, p' and the rounding floor below from one fused Horner pass.  No
-deflation ever happens, so there is no error accumulation and each answer
-can be checked directly through its residual |p(z_i)|.
+with p and p' from one fused Horner pass.  No deflation ever happens, so
+there is no error accumulation and each answer can be checked directly
+through its residual |p(z_i)|.
 
 The starting points are read from the Newton polygon (Bini, Numer.
 Algorithms 13, 1996): on the upper convex hull of the points (k, log|a_k|)
@@ -28,7 +28,11 @@ floor of p, 4 n 2^-52 sum_k |a_k| |z_i|^k, the bound on the rounding error of
 Horner evaluation in double precision (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., 5.1).  Below that floor the computed p(z_i) is
 noise, so further sweeps cannot improve the estimate; clustered and repeated
-roots reach it long before their corrections fall below _TOL.  A settled
+roots reach it long before their corrections fall below _TOL.  The floor
+costs a second Horner pass, so it is formed only when |p(z_i)| is at most
+twice 4 n 2^-52 sum_k |a_k| max(1, |z_i|)^n, the only case in which the
+floor test can hold (`_may_reach_floor`); each settle decision is the one
+the full test makes, and no work is done that cannot change it.  A settled
 estimate takes the correction of the sweep that settled it and is not
 iterated again (as MPSolve does not iterate converged roots: Bini and Robol,
 J. Comput. Appl. Math. 272, 2014); it still counts in the other estimates'
@@ -38,7 +42,7 @@ of a step.
 
 from __future__ import annotations
 
-from math import cos, exp, isfinite, log, pi, sin
+from math import cos, exp, frexp, isfinite, log, pi, sin
 from typing import NamedTuple
 
 from .errors import DegreeTooSmall, OracleUnavailable
@@ -95,23 +99,27 @@ def find_roots(p: Polynomial) -> RootSet:
     n = p.degree
 
     z = _starts(mono)
-    terms = [(c, abs(c)) for c in reversed(mono)]
+    terms = mono[::-1]
+    sizes = [abs(c) for c in terms]
     floor = _HORNER_ROUNDING * n
+    total = sum(sizes)
     active = range(n)
     for _ in range(_MAX_SWEEPS):
         unsettled = []
         for i in active:
             zi = z[i]
             r = abs(zi)
-            # p(zi), p'(zi) and sum |a_k| |zi|^k in one Horner pass
+            # p(zi) and p'(zi) in one Horner pass
             acc = der = 0j
-            size = 0.0
-            for c, m in terms:
+            for c in terms:
                 der = der * zi + acc
                 acc = acc * zi + c
-                size = size * r + m
-            settled = ((der != 0 and abs(acc / der) < _TOL * (1.0 + r))
-                       or abs(acc) <= floor * size)
+            settled = der != 0 and abs(acc / der) < _TOL * (1.0 + r)
+            if not settled and _may_reach_floor(abs(acc), r, n, floor, total):
+                size = 0.0  # sum |a_k| |zi|^k
+                for m in sizes:
+                    size = size * r + m
+                settled = abs(acc) <= floor * size
             if not settled:
                 unsettled.append(i)
             try:
@@ -143,6 +151,21 @@ def find_roots(p: Polynomial) -> RootSet:
     if not all(map(isfinite, residuals)):
         raise OracleUnavailable("the root iteration left the float range")
     return RootSet(roots=roots, max_residual=max_residual, converged=converged)
+
+
+def _may_reach_floor(value: float, r: float, n: int, floor: float,
+                     total: float) -> bool:
+    """False only when value > floor * sum |a_k| r^k is certain, for a
+    monic p of degree n whose |a_k| sum to `total`: that sum is at most
+    total * max(1, r)^n, doubled for rounding, and formed before `floor`
+    scales it, so it overflows whenever the Horner sum could.  r^n is
+    formed only below 2^1000: an overflowing float ** leaves errno set,
+    and a later abs() of a NaN complex then raises OverflowError."""
+    if r <= 1.0:
+        return value <= floor * (2.0 * total)
+    if n * frexp(r)[1] > 1000:
+        return True
+    return value <= floor * (2.0 * total * r ** n)
 
 
 def _starts(mono: list[float]) -> list[complex]:

@@ -35,7 +35,8 @@ How the array is stored.  The rows are built by the fraction-free
 recurrence `intpoly.fraction_free_rows`, whose docstring derives it: stored
 row k is F_k, its pivots Delta_k = F_k[0] are the leading minors of the
 Hurwitz matrix of p's integer coefficients (`_ints`, over the denominator
-d), and the true row k is F_k/(d Delta_{k-1}).
+d), and the true row k is F_k/(d Delta_{k-1}).  The first segment is the
+chain p keeps for `hurwitz_stable` too, so a repair reduces copies.
 
 Entries are integers until e enters the array.  A repair starts a new
 segment of the same recurrence from the row above and the repaired row,
@@ -184,15 +185,13 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
     if p._ints[-1] < 0:
         raise ValueError("leading coefficient must be positive; normalize first")
 
-    n = p.degree
-    top, d = p._ints[::-1], p._denom
-    f0, f1, scales = top[0::2], top[1::2], (d, d)
+    n, d = p.degree, p._denom
+    chain, scales = p._routh_chain(), (d, d)
     built: list[tuple[list, Any]] = []
     events: list[SpecialEvent] = []
     while True:
         # one segment: its row m is F_m over scales[m % 2] * Delta_{m-1}
         times = int.__mul__ if type(scales[0]) is int else poly_mul
-        chain = fraction_free_rows(f0, f1)
         built += [(f, scales[m & 1] if m < 2
                    else times(scales[m & 1], chain[m - 1][0]))
                   for m, f in enumerate(chain)]
@@ -200,6 +199,7 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
             return RouthArray(degree=n, built=tuple(built), events=tuple(events),
                               policy=policy)
         f0, f1, scales = _restart(built, n + 1 - len(built), policy, events)
+        chain = fraction_free_rows(f0, f1)
 
 
 def _restart(built: list, power: int, policy: Policy,

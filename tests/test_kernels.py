@@ -8,7 +8,9 @@ what the textbook formulas give over EpsRat and Fraction.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -368,8 +370,11 @@ class TestGapStep:
 
 
 def fraction_expansion(roots) -> Polynomial:
-    """prod (s - r) over the Gaussian rationals, then the same rounding as
-    `from_roots`; the imaginary parts must cancel exactly."""
+    """The real part of prod (s - r) over the Gaussian rationals, whose
+    imaginary part must stay within 1e-9 of the largest real coefficient,
+    then the rounding rule of `from_roots`: denominators <= 10**6 only when
+    no coefficient of s^k moves by more than 1e-9 of the coefficient of s^k
+    in prod (s + |r|)."""
     coeffs = [(Fraction(1), Fraction(0))]
     for r in roots:
         a, b = Fraction(r.real), Fraction(r.imag)
@@ -378,8 +383,15 @@ def fraction_expansion(roots) -> Polynomial:
             out[k + 1] = (out[k + 1][0] + x, out[k + 1][1] + y)
             out[k] = (out[k][0] - (a * x - b * y), out[k][1] - (a * y + b * x))
         coeffs = out
-    assert all(y == 0 for _, y in coeffs)
-    return Polynomial([x.limit_denominator(10 ** 6) for x, _ in coeffs])
+    exact = [x for x, _ in coeffs]
+    assert 10 ** 9 * max(abs(y) for _, y in coeffs) <= max(map(abs, exact))
+    scale = [1.0]
+    for r in roots:
+        scale = [x + abs(r) * y for x, y in zip([0.0, *scale], [*scale, 0.0])]
+    rounded = [x.limit_denominator(10 ** 6) for x in exact]
+    if all(abs(x - y) <= 1e-9 * e for x, y, e in zip(rounded, exact, scale)):
+        return Polynomial(rounded)
+    return Polynomial(exact)
 
 
 def assert_same_polynomial(p: Polynomial, q: Polynomial) -> None:
@@ -403,6 +415,13 @@ class TestFromRootsKernel:
             roots += [complex(re, im), complex(re, -im)]
         assert_same_polynomial(Polynomial.from_roots(roots), fraction_expansion(roots))
 
+    def test_near_conjugates(self):
+        # pairs within the pairing tolerance but not exactly conjugate: the
+        # imaginary part is carried from the first of them on
+        roots = [0.5, 1 + 2j, complex(1, -(2 + 2 ** -42)), -1 + 1j, -1 - 1j,
+                 complex(-3 + 2 ** -44, 0.25), complex(-3, -0.25)]
+        assert_same_polynomial(Polynomial.from_roots(roots), fraction_expansion(roots))
+
     def test_corpus_draws(self):
         rng = Lcg64(20261018)
         for _ in range(200):
@@ -410,21 +429,50 @@ class TestFromRootsKernel:
             assert_same_polynomial(Polynomial.from_roots(roots), fraction_expansion(roots))
 
     def test_rounding_kicks_in(self):
-        # 1/3 is not a binary fraction: its float is rounded back to 1/3
+        # 1/3 and 0.1 are not binary fractions: their floats are rounded
+        # back to 1/3 and 1/10
         assert_same_polynomial(Polynomial.from_roots([1 / 3]),
                                Polynomial([Fraction(-1, 3), 1]))
+        assert_same_polynomial(Polynomial.from_roots([0.1, 1 / 3]),
+                               Polynomial([Fraction(1, 30), Fraction(-13, 30), 1]))
+        # the s^2 coefficient of the float product is 2^-55, not 0: rounding
+        # moves it by all of itself, but by far less than 1e-9 of 0.6, its
+        # bound |0.1| + |0.2| + |-0.3|, so the product still rounds
+        assert_same_polynomial(Polynomial.from_roots([0.1, 0.2, -0.3]),
+                               Polynomial([Fraction(3, 500), Fraction(-7, 100), 0, 1]))
 
     def test_rounding_of_binary_roots(self):
-        # (s - 1/16)^6 has constant 1/2^24: past 10**6, so it is rounded
+        # (s - 1/16)^6 has constant 1/2^24: rounding it to a denominator
+        # <= 10**6 would move it, so the exact product comes back
         roots = [1 / 16] * 6
         p = Polynomial.from_roots(roots)
         assert_same_polynomial(p, fraction_expansion(roots))
-        assert p.constant_term != Fraction(1, 2 ** 24)
+        assert p.constant_term == Fraction(1, 2 ** 24)
+        assert p == Polynomial([math.comb(6, k) * Fraction(-1, 16) ** (6 - k)
+                                for k in range(7)])
+
+    @pytest.mark.parametrize("n", range(20, 101, 2))
+    def test_small_circle_keeps_its_constant(self, n):
+        # the roots of s^n + 2^-n, each pair exactly conjugate: rounding
+        # would send 2^-n to 0 or to 1/10**6, so the exact product of the
+        # float roots comes back, its constant term 2^-n to 1e-12
+        roots = []
+        for k in range(n // 2):
+            z = cmath.rect(0.5, math.pi * (2 * k + 1) / n)
+            roots += [z, z.conjugate()]
+        p = Polynomial.from_roots(roots)
+        assert_same_polynomial(p, fraction_expansion(roots))
+        assert p._denom > 10 ** 6
+        assert abs(p.constant_term * 2 ** n - 1) < 1e-12
 
 
 def rows_digest(p: Polynomial, policy: Policy) -> str:
     """sha256 of the rendered rows and events of p's array."""
-    array = build_array(p, policy)
+    return array_digest(build_array(p, policy))
+
+
+def array_digest(array) -> str:
+    """sha256 of the rendered rows and events of an array."""
     lines = ["|".join(str(e) for e in row) for row in array.rows]
     lines += [f"{ev.kind.value}@{ev.row_power}: {ev.remedy}" for ev in array.events]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -482,3 +530,31 @@ class TestGcdKernel:
             build_array(Polynomial([1] * (n + 1)), Policy.EPSILON_ROW).rows
         assert calls["gcd"] > 10000
         assert calls["prs"] == 0
+
+
+class TestSharedChain:
+    """`build_array` and `hurwitz_stable` start from the one integer chain
+    a polynomial keeps: it is built once, and neither reader changes what
+    the other reads."""
+
+    def test_classify_then_hurwitz_then_build(self, monkeypatch):
+        from routhkit import polynomial
+        builds = []
+        monkeypatch.setattr(polynomial, "fraction_free_rows",
+                            lambda *rows: builds.append(1) or fraction_free_rows(*rows))
+        rng = Lcg64(20261021)
+        polys = ladder_families() + [random_polynomial(rng, 12)[0] for _ in range(200)]
+        for p in polys:
+            digests = {}
+            for policy in Policy:
+                try:
+                    digests[policy] = array_digest(classify(p, policy).array)
+                except PolicyUnsupported:
+                    pass
+            minors = hurwitz_stable(p).minors
+            assert minors == hurwitz_stable(Polynomial(p.coeffs)).minors
+            assert minors == leading_minors(hurwitz_matrix(p))
+            for policy, digest in digests.items():
+                assert array_digest(build_array(p, policy)) == digest
+        # one chain per polynomial, and one more per fresh copy
+        assert len(builds) == 2 * len(polys)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
@@ -164,6 +166,48 @@ class TestRoundingFloor:
         for poly, _, _ in seed7_draws:
             if poly.degree >= 4:
                 assert not find_roots(poly).converged
+
+
+# a float of either sign with magnitude from 1e-300 to 1e300, or zero
+wide = st.one_of(st.just(0.0), st.builds(
+    lambda sign, mant, exp: sign * mant * 10.0 ** exp, st.sampled_from([-1, 1]),
+    st.floats(1, 10), st.integers(-300, 299)))
+
+
+class TestFloorPretest:
+    """find_roots sums |a_k| |z|^k only where `_may_reach_floor` lets z
+    through; it must let through every z at which the floor test holds."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(wide, min_size=1, max_size=40),
+           st.one_of(st.floats(0, 4), st.builds(lambda e: 10.0 ** e,
+                                                st.integers(-300, 300))),
+           st.floats(0, 2 * math.pi))
+    def test_conservative(self, lower, r, angle):
+        terms = [1.0, *lower[::-1]]   # monic, descending
+        n = len(lower)
+        z = complex(r * math.cos(angle), r * math.sin(angle))
+        r = abs(z)
+        value = 0j
+        size = 0.0
+        for c in terms:   # as find_roots evaluates them
+            value = value * z + c
+            size = size * r + abs(c)
+        floor = root_oracle._HORNER_ROUNDING * n
+        total = sum(map(abs, terms))
+        # the largest value the floor test admits, and |p(z)| itself where
+        # abs() has a float for it, as find_roots needs too
+        values = [floor * size]
+        if math.hypot(value.real, value.imag) < math.inf:
+            values.append(abs(value))
+        for v in values:
+            if v <= floor * size:
+                assert root_oracle._may_reach_floor(v, r, n, floor, total)
+
+    def test_overflowing_power_passes(self):
+        # 1e200 ** 2 would raise OverflowError rather than return inf
+        assert root_oracle._may_reach_floor(1e300, 1e200, 2, 1e-15, 2.0)
+        assert not root_oracle._may_reach_floor(1.0, 1e3, 2, 1e-15, 2.0)
 
 
 class TestMonicFloats:
