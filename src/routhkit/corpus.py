@@ -19,6 +19,7 @@ and each draw uses the high 32 bits of the new state.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import PolicyUnsupported
@@ -102,20 +103,19 @@ class Disagreement(NamedTuple):
     events: tuple[str, ...]
 
 
-class CorpusSummary:
-    """Running tallies of one corpus run; `run_corpus` fills them in."""
+class CorpusSummary(NamedTuple):
+    """The tallies of one corpus run; counts in order of first occurrence."""
 
-    def __init__(self, count: int, max_degree: int, seed: int, lhp_only: bool):
-        self.count = count
-        self.max_degree = max_degree
-        self.seed = seed
-        self.lhp_only = lhp_only
-        self.agreements = 0
-        self.disagreements: list[Disagreement] = []
-        self.event_counts: dict[str, int] = {}
-        self.verdict_counts: dict[str, int] = {}
-        self.polynomials_with_events = 0
-        self.nonpositive_first_columns = 0
+    count: int
+    max_degree: int
+    seed: int
+    lhp_only: bool
+    agreements: int
+    disagreements: tuple[Disagreement, ...]
+    event_counts: dict[str, int]
+    verdict_counts: dict[str, int]
+    polynomials_with_events: int
+    nonpositive_first_columns: int
 
     @property
     def all_agree(self) -> bool:
@@ -137,8 +137,10 @@ def run_corpus(count: int, max_degree: int, seed: int,
         raise ValueError("max_degree must be between 2 and 12")
 
     rng = Lcg64(seed)
-    summary = CorpusSummary(count=count, max_degree=max_degree, seed=seed,
-                            lhp_only=lhp_only)
+    agreements = with_events = nonpositive = 0
+    disagreements: list[Disagreement] = []
+    events: Counter[str] = Counter()
+    verdicts: Counter[str] = Counter()
     for _ in range(count):
         poly, roots = random_polynomial(rng, max_degree, lhp_only)
         try:
@@ -146,7 +148,7 @@ def run_corpus(count: int, max_degree: int, seed: int,
         except PolicyUnsupported as exc:
             # not observed with the formal infinitesimal, but a policy
             # refusal must surface as a counterexample, not a crash
-            summary.disagreements.append(Disagreement(
+            disagreements.append(Disagreement(
                 polynomial=str(poly), routh_rhp=-1,
                 oracle_rhp=-1, expected_rhp=sum(1 for r in roots if r.real > 0),
                 roots=tuple(roots), events=(f"PolicyUnsupported: {exc}",)))
@@ -154,29 +156,26 @@ def run_corpus(count: int, max_degree: int, seed: int,
         oracle = report.oracle_check
         expected = sum(1 for r in roots if r.real > 0)
 
-        if report.events:
-            summary.polynomials_with_events += 1
-        for ev in report.events:
-            key = ev.kind.value
-            summary.event_counts[key] = summary.event_counts.get(key, 0) + 1
-        key = report.verdict.value
-        summary.verdict_counts[key] = summary.verdict_counts.get(key, 0) + 1
-        if any(s <= 0 for s in report.first_column_signs):
-            summary.nonpositive_first_columns += 1
+        kinds = tuple(ev.kind.value for ev in report.events)
+        with_events += bool(kinds)
+        events.update(kinds)
+        verdicts[report.verdict.value] += 1
+        nonpositive += any(s <= 0 for s in report.first_column_signs)
 
         if oracle.agreement and report.rhp_count == expected:
-            summary.agreements += 1
+            agreements += 1
         else:
             # an oracle that cannot run has no count: the draw is recorded
             # with the reason, as a policy refusal is
-            events = tuple(ev.kind.value for ev in report.events)
             if oracle.counts is None:
-                events += (f"OracleUnavailable: {oracle.unavailable}",)
-            summary.disagreements.append(Disagreement(
+                kinds += (f"OracleUnavailable: {oracle.unavailable}",)
+            disagreements.append(Disagreement(
                 polynomial=str(poly),
                 routh_rhp=report.rhp_count,
                 oracle_rhp=-1 if oracle.counts is None else oracle.counts.rhp,
                 expected_rhp=expected,
                 roots=tuple(roots),
-                events=events))
-    return summary
+                events=kinds))
+    return CorpusSummary(count, max_degree, seed, lhp_only, agreements,
+                         tuple(disagreements), dict(events), dict(verdicts),
+                         with_events, nonpositive)

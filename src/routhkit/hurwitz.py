@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import NamedTuple
 
-from .errors import DegreeTooSmall, OriginRoot
+from .errors import DegreeTooSmall
 from .intpoly import bridge_gap, fraction_free_rows
 from .polynomial import Polynomial
 
@@ -80,15 +80,10 @@ def hurwitz_stable(p: Polynomial) -> HurwitzDecision:
     minor is 0.
     A zero first entry is bridged by `bridge_gap`, and the recurrence
     resumes past it, so every minor comes from the one pass.
+    `Polynomial._routh_chain` refuses an input that is not in Routh form.
     """
-    if p.is_zero or p.degree < 1:
-        raise DegreeTooSmall("stability test needs degree >= 1")
-    if not p._ints[0]:
-        raise OriginRoot("constant term is zero; strip origin roots first")
-    if p._ints[-1] < 0:
-        raise ValueError("leading coefficient must be positive; normalize first")
-    n, d = p.degree, p._denom
     rows = p._routh_chain()
+    n, d = p.degree, p._denom
     ints = [row[0] for row in rows[1:]]
     while len(ints) < n and any(rows[-1]):
         b, a = ([1, 1] + ints)[-3:-1]   # Delta_{m-2}, Delta_{m-1}

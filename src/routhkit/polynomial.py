@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Optional, Sequence
 
-from .errors import EmptyPolynomial, ParseError, UnpairedComplexRoot
+from .errors import (DegreeTooSmall, EmptyPolynomial, OriginRoot, ParseError,
+                     UnpairedComplexRoot)
 from .intpoly import DensePoly, fraction_free_rows, poly_add, poly_mul
 
 _TOKEN_SPLIT = re.compile(r"[,\s]+")
@@ -70,7 +71,8 @@ class Polynomial(DensePoly):
     def from_roots(cls, roots: Sequence[complex]) -> "Polynomial":
         """Monic polynomial with the given roots.
 
-        A root within `_PAIR_TOL` of the real axis enters as real; the others
+        A root with a component that is not finite is refused.  A root
+        within `_PAIR_TOL` of the real axis enters as real; the others
         must pair off into conjugates within `_PAIR_TOL`.  Float components
         are binary rationals, so over D, the largest of their power-of-two
         denominators, the product expands once, exactly, over the Gaussian
@@ -86,6 +88,8 @@ class Polynomial(DensePoly):
         pos: list[complex] = []
         neg: list[complex] = []
         for r in map(complex, roots):
+            if not (isfinite(r.real) and isfinite(r.imag)):
+                raise ValueError(f"root {r} is not finite")
             if abs(r.imag) <= _PAIR_TOL * max(1.0, abs(r)):
                 reals.append(r.real)
             else:
@@ -166,9 +170,17 @@ class Polynomial(DensePoly):
     def _routh_chain(self) -> list[list[int]]:
         """`intpoly.fraction_free_rows` of the integer coefficients, built
         once: `routh.build_array` and `hurwitz.hurwitz_stable` both start
-        from it.  The lists are shared, so no caller may mutate them."""
+        from it.  The lists are shared, so no caller may mutate them.  The
+        Routh form is checked once, on building: degree >= 1, a nonzero
+        constant term and a positive leading coefficient."""
         chain = getattr(self, "_chain", None)
         if chain is None:
+            if len(self._ints) < 2:
+                raise DegreeTooSmall("stability test needs degree >= 1")
+            if not self._ints[0]:
+                raise OriginRoot("constant term is zero; strip origin roots first")
+            if self._ints[-1] < 0:
+                raise ValueError("leading coefficient must be positive; normalize first")
             top = self._ints[::-1]
             chain = self._chain = fraction_free_rows(top[0::2], top[1::2])
         return chain
@@ -180,11 +192,8 @@ class Polynomial(DensePoly):
                                self._denom)
 
     def evaluate(self, z: complex) -> complex:
-        """Horner evaluation in double precision."""
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
-        return acc
+        """Horner evaluation in doubles; c / d rounds as float(Fraction)."""
+        return horner([c / self._denom for c in self._ints], z)
 
     def strip_origin_roots(self) -> tuple[int, "Polynomial"]:
         """Write the polynomial as s^k * q with q(0) != 0; return (k, q)."""
@@ -200,6 +209,14 @@ class Polynomial(DensePoly):
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def horner(ascending: Sequence[float], z: complex) -> complex:
+    """Horner's rule in doubles on ascending coefficients."""
+    acc = 0j
+    for c in reversed(ascending):
+        acc = acc * z + c
+    return acc
 
 
 def check_degree(degree: int) -> None:

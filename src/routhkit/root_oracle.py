@@ -46,7 +46,7 @@ from math import cos, exp, frexp, isfinite, log, pi, sin
 from typing import NamedTuple
 
 from .errors import DegreeTooSmall, OracleUnavailable
-from .polynomial import Polynomial
+from .polynomial import Polynomial, horner
 
 
 class RootSet(NamedTuple):
@@ -146,7 +146,7 @@ def find_roots(p: Polynomial) -> RootSet:
         converged = False
 
     roots = tuple(sorted(z, key=lambda c: (c.real, c.imag)))
-    residuals = [abs(_horner(mono, r)) for r in roots]
+    residuals = [abs(horner(mono, r)) for r in roots]
     max_residual = max(residuals)
     if not all(map(isfinite, residuals)):
         raise OracleUnavailable("the root iteration left the float range")
@@ -230,10 +230,3 @@ def half_plane_counts(root_set: RootSet) -> HalfPlaneCounts:
         else:
             axis += 1
     return HalfPlaneCounts(lhp=lhp, rhp=rhp, axis=axis)
-
-
-def _horner(ascending: list[float], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(ascending):
-        acc = acc * z + c
-    return acc

@@ -57,8 +57,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
-from .errors import (DegreeTooSmall, EpsContaminatedRow, OracleUnavailable,
-                     OriginRoot, PolicyUnsupported)
+from .errors import EpsContaminatedRow, OracleUnavailable, PolicyUnsupported
 from .intpoly import cancel_gcd, fraction_free_rows, lowest_nonzero, poly_mul
 from .polynomial import Polynomial
 
@@ -102,19 +101,17 @@ class SpecialEvent(NamedTuple):
     remedy: str
 
 
-class RouthArray:
+class RouthArray(NamedTuple):
     """The array as built: `built` holds one (entries, divisor) pair per
     row, the true entries being entry/divisor.  Both are integers until e
     enters the array and integer coefficient lists in e from then on.
     `rows` and `first_column` build the canonical EpsRat of each entry on
     every read."""
 
-    def __init__(self, degree: int, built: tuple[tuple[list, Any], ...],
-                 events: tuple[SpecialEvent, ...], policy: Policy):
-        self.degree = degree
-        self.built = built
-        self.events = events
-        self.policy = policy
+    degree: int
+    built: tuple[tuple[list, Any], ...]
+    events: tuple[SpecialEvent, ...]
+    policy: Policy
 
     @property
     def rows(self) -> tuple[tuple[EpsRat, ...], ...]:
@@ -176,17 +173,11 @@ def build_array(p: Polynomial, policy: Policy = Policy.AUTO) -> RouthArray:
     """Build the full Routh array of p under the given policy.
 
     Requires degree >= 1, a nonzero constant term (strip origin roots
-    first), and a positive leading coefficient (flip the sign first).
+    first), and a positive leading coefficient (flip the sign first);
+    `Polynomial._routh_chain` checks all three when it builds the chain.
     """
-    if p.is_zero or p.degree < 1:
-        raise DegreeTooSmall("array construction needs degree >= 1")
-    if not p._ints[0]:
-        raise OriginRoot("constant term is zero; strip origin roots first")
-    if p._ints[-1] < 0:
-        raise ValueError("leading coefficient must be positive; normalize first")
-
-    n, d = p.degree, p._denom
-    chain, scales = p._routh_chain(), (d, d)
+    chain = p._routh_chain()
+    n, scales = p.degree, (p._denom, p._denom)
     built: list[tuple[list, Any]] = []
     events: list[SpecialEvent] = []
     while True:

@@ -48,6 +48,10 @@ from .intpoly import eval_homogeneous, fraction_free_rows
 from .polynomial import Polynomial, check_degree, parse_coefficient_list
 from .routh import Policy, Verdict, classify
 
+# the largest number of samples of one sweep: every sample is kept, at about
+# 190 bytes each, so 10**6 steps take about 0.2 GB (README, "Input size")
+MAX_STEPS = 10 ** 6
+
 
 class SweepResult(NamedTuple):
     parameter: str
@@ -98,6 +102,8 @@ def run_sweep(template_text: str, lo: Fraction, hi: Fraction, steps: int,
               policy: Policy = Policy.AUTO) -> SweepResult:
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps {steps} exceeds the limit of {MAX_STEPS}")
     if hi <= lo:
         raise ValueError("range must satisfy lo < hi")
     slots = parse_template(template_text)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from routhkit import __version__, cli
 from routhkit.cli import main, render_json
 from routhkit.polynomial import MAX_DEGREE
+from routhkit.sweep import MAX_STEPS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -420,6 +421,16 @@ class TestSweep:
         assert (code, out) == (65, "")
         assert err == (f"routhkit: error: degree {MAX_DEGREE + 1} exceeds "
                        f"the limit of {MAX_DEGREE}\n")
+
+    def test_steps_above_the_limit_are_refused_at_once(self, capsys):
+        steps = MAX_STEPS + 1
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--coeffs", "1,3,3,K",
+                                 "--range", "0:12", "--steps", str(steps))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (65, "")
+        assert err == (f"routhkit: error: steps {steps} exceeds the limit "
+                       f"of {MAX_STEPS}\n")
 
     def test_bad_range_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from routhkit import (DegreeTooSmall, ExactMatrix, Lcg64, OriginRoot, Polynomial, build_array,
-                      count_sign_changes, hurwitz_matrix, hurwitz_stable,
-                      leading_minors)
+from routhkit import (DegreeTooSmall, ExactMatrix, Lcg64, OriginRoot, Policy,
+                      PolicyUnsupported, Polynomial, Verdict, build_array,
+                      classify, count_sign_changes, hurwitz_matrix,
+                      hurwitz_stable, leading_minors)
 from routhkit import hurwitz
 from routhkit.corpus import random_polynomial
 from conftest import ladder_families
@@ -154,6 +155,47 @@ class TestHurwitzStable:
             checked += 1
             routh_stable = count_sign_changes(array)[1] == 0
             assert hurwitz_stable(poly).stable == routh_stable
+
+
+def verdict_inputs() -> list[Polynomial]:
+    """All-ones and s^n +- 1, axis factors (s^2 + w^2)^k t, the zero first
+    entry beside an axis pair, stable factors times s^k, and corpus draws."""
+    polys = []
+    for n in range(2, 25):
+        polys += [Polynomial([1] * (n + 1)), Polynomial([1] + [0] * (n - 1) + [1]),
+                  Polynomial([-1] + [0] * (n - 1) + [1])]
+    for w2 in (Fraction(1, 4), 1, 4, 9):
+        for t in ([1], [1, 1], [-1, 1], [5, 2, 1]):
+            p = Polynomial(t)
+            for _ in range(3):
+                p = p * Polynomial([w2, 0, 1])
+                polys.append(p)
+    polys.append(Polynomial([-1, 1, -1, 2, 0, 1]))   # (s^2 + 1)(s^3 + s - 1)
+    polys += [Polynomial([0, 1, 1]), Polynomial([0, 0, 5, 2, 1])]   # origin roots
+    rng = Lcg64(3)
+    polys += [random_polynomial(rng, 12)[0] for _ in range(1000)]
+    return polys
+
+
+class TestStableVerdict:
+    def test_stable_means_positive_minors(self):
+        # under every policy: a Stable verdict has no origin roots and every
+        # Hurwitz minor of the normalized input positive; with no event in
+        # the array, the two criteria agree both ways
+        for p in verdict_inputs():
+            k, q = p.strip_origin_roots()
+            q = -q if q.leading_coefficient < 0 else q
+            hurwitz_ok = hurwitz_stable(q).stable
+            for policy in Policy:
+                try:
+                    report = classify(p, policy)
+                except PolicyUnsupported:
+                    continue
+                stable = report.verdict is Verdict.STABLE
+                if stable:
+                    assert k == 0 and hurwitz_ok, (p, policy)
+                if not k and not report.array.events:
+                    assert stable == hurwitz_ok, (p, policy)
 
 
 # descending coefficients of inputs whose chain meets zero first entries:

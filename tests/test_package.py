@@ -16,7 +16,8 @@ import routhkit
 from routhkit import (CorpusSummary, Disagreement, EventKind, ExactMatrix,
                       HalfPlaneCounts, HurwitzDecision, OracleSummary, Policy,
                       Polynomial, RootSet, RouthArray, SpecialEvent,
-                      StabilityReport, SweepResult, Verdict, build_array)
+                      StabilityReport, SweepResult, Verdict, build_array,
+                      run_corpus)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -102,6 +103,12 @@ RECORDS = [
     (Disagreement, ["polynomial", "routh_rhp", "oracle_rhp", "expected_rhp",
                     "roots", "events"],
      ["s + 1", 0, 1, 0, (complex(-1, 0),), ("ZeroRow",)]),
+    (RouthArray, ["degree", "built", "events", "policy"],
+     [3, _ARRAY.built, (), Policy.AUTO]),
+    (CorpusSummary, ["count", "max_degree", "seed", "lhp_only", "agreements",
+                     "disagreements", "event_counts", "verdict_counts",
+                     "polynomials_with_events", "nonpositive_first_columns"],
+     [10, 8, 42, False, 0, (), {}, {}, 0, 0]),
 ]
 
 
@@ -127,34 +134,21 @@ class TestRecords:
         assert OracleSummary(None, None, None).unavailable is None
 
     def test_routh_array_construction_and_rows(self):
-        args = (3, _ARRAY.built, (), Policy.AUTO)
-        for array in (RouthArray(*args),
-                      RouthArray(degree=3, built=_ARRAY.built, events=(),
-                                 policy=Policy.AUTO)):
-            assert (array.degree, array.built, array.events, array.policy) == args
-            state = dict(vars(array))
-            assert array.rows == array.rows
-            assert array.rows == _ARRAY.rows
-            assert vars(array) == state
-        state = dict(vars(_ARRAY))
-        assert _ARRAY.rows == _ARRAY.rows
-        assert vars(_ARRAY) == state
+        # a record holds only its fields (see RECORDS); the entries are
+        # built from `built` on every read
+        array = RouthArray(3, _ARRAY.built, (), Policy.AUTO)
+        assert array.rows == array.rows == _ARRAY.rows
+        assert array.first_column == tuple(row[0] for row in _ARRAY.rows)
 
     def test_corpus_summary_starts_empty(self):
-        by_position = CorpusSummary(10, 8, 42, False)
-        by_keyword = CorpusSummary(count=10, max_degree=8, seed=42,
-                                   lhp_only=False)
-        for summary in (by_position, by_keyword):
-            assert (summary.count, summary.max_degree, summary.seed,
-                    summary.lhp_only) == (10, 8, 42, False)
-            assert (summary.agreements, summary.polynomials_with_events,
-                    summary.nonpositive_first_columns) == (0, 0, 0)
-            assert (summary.disagreements, summary.event_counts,
-                    summary.verdict_counts) == ([], {}, {})
-            assert not summary.all_agree
-        # the tallies are per instance
-        by_position.disagreements.append(None)
-        assert by_keyword.disagreements == []
+        # fields as in RECORDS; each run builds its own tallies
+        empty = CorpusSummary(10, 8, 42, False, 0, (), {}, {}, 0, 0)
+        assert not empty.all_agree
+        assert empty._replace(agreements=10).all_agree
+        first, second = run_corpus(5, 4, 1), run_corpus(5, 4, 1)
+        assert first == second
+        assert first.verdict_counts is not second.verdict_counts
+        assert type(first.disagreements) is tuple
 
 
 # Run in a fresh interpreter: runs argv as `python -m routhkit.cli` would

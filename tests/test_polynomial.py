@@ -140,6 +140,17 @@ class TestFromRoots:
         with pytest.raises(UnpairedComplexRoot):
             Polynomial.from_roots([1 + 2j, 1 - 2.5j])
 
+    @pytest.mark.parametrize("roots", [
+        [complex(1, math.inf), complex(1, -math.inf)],
+        [math.inf],
+        [math.nan],
+    ], ids=["infinite-pair", "inf", "nan"])
+    def test_non_finite_root_refused(self, roots):
+        # an infinite imaginary part would pass the real-root test, and a
+        # float that is not finite has no integer ratio
+        with pytest.raises(ValueError, match=r"^root .* is not finite$"):
+            Polynomial.from_roots([-1, *roots])
+
     @pytest.mark.parametrize("n", [34, 40, 64, 96])
     def test_exact_conjugates_on_the_unit_circle(self, n):
         # the roots of s^n + 1, each pair exactly conjugate: the product is
@@ -184,6 +195,16 @@ class TestEvaluate:
 
     def test_exact_root(self):
         assert Polynomial([1, 2, 1]).evaluate(-1) == 0
+
+    @given(st.lists(st.fractions(max_denominator=10 ** 30), min_size=1, max_size=12),
+           st.complex_numbers(max_magnitude=1e30, allow_nan=False,
+                              allow_infinity=False))
+    def test_same_as_the_fraction_route(self, coeffs, z):
+        # c / d from the stored integers rounds as float(Fraction) does
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * z + float(c)
+        assert repr(Polynomial(coeffs).evaluate(z)) == repr(acc)
 
 
 class TestZeroPolynomial:

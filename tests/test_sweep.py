@@ -81,6 +81,18 @@ def test_template_at_the_degree_limit_is_accepted(monkeypatch):
         run_sweep("K,1,3,3,0", Fraction(0), Fraction(12), 13)
 
 
+def test_steps_above_the_limit_are_refused_at_once(monkeypatch):
+    # every sample is kept, so the count is bounded before any is built
+    limit = sweep_module.MAX_STEPS
+    with pytest.raises(ValueError, match=f"^steps {limit + 1} exceeds the limit of {limit}$"):
+        run_sweep("1,3,3,K", Fraction(0), Fraction(12), limit + 1)
+    monkeypatch.setattr(sweep_module, "MAX_STEPS", 13)
+    assert run_sweep("1,3,3,K", Fraction(0), Fraction(12), 13).intervals == \
+        ((Fraction(1), Fraction(8)),)
+    with pytest.raises(ValueError, match="^steps 14 exceeds the limit of 13$"):
+        run_sweep("1,3,3,K", Fraction(0), Fraction(12), 14)
+
+
 def test_empty_range_is_refused():
     with pytest.raises(ValueError, match="^range must satisfy lo < hi$"):
         run_sweep("1,3,3,K", Fraction(1), Fraction(1), 5)
